@@ -145,18 +145,20 @@ class Scene:
     def intersect(self, origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """First-hit distance for each ray across all primitives.
 
-        Chunked so the per-primitive hit matrix stays bounded even for
-        the multi-million-ray scans of the scaling experiments.
+        A running minimum keeps one primitive's hits alive at a time, and
+        rays are chunked so per-primitive temporaries stay bounded even
+        for the multi-million-ray scans of the scaling experiments.
         """
         n_rays = origins.shape[0]
         if not self.primitives:
             return np.full(n_rays, _NO_HIT)
         chunk = 200_000
         if n_rays <= chunk:
-            hits = np.stack(
-                [p.intersect(origins, directions) for p in self.primitives], axis=0
-            )
-            return hits.min(axis=0)
+            first, *rest = self.primitives
+            nearest = first.intersect(origins, directions).astype(np.float64)
+            for p in rest:
+                np.minimum(nearest, p.intersect(origins, directions), out=nearest)
+            return nearest
         out = np.empty(n_rays)
         for start in range(0, n_rays, chunk):
             stop = min(start + chunk, n_rays)

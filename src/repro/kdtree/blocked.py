@@ -83,10 +83,12 @@ _MANIFEST_NAME = "manifest.json"
 _PRUNE_SLACK = 1e-12
 
 #: Estimated resident bytes per point of the engine's lazily derived
-#: selection arrays (``points_c`` f64x3, ``point_sq_c`` f64,
+#: query arrays (``points_c`` f64x3, ``point_sq_c`` f64,
 #: ``bucket_xyz32`` f32x3, ``bucket_sq32`` f32).  Unlike the mapped
 #: structural arrays these are always heap-allocated on first query, so
-#: the block cache budgets for them explicitly.
+#: the block cache budgets for them explicitly.  kNN builds only the
+#: 16 bytes of float32 arrays; the bound stays at 48 because a radius
+#: query on a resident block still derives the float64 pair.
 _DERIVED_BYTES_PER_POINT = 48
 
 

@@ -11,38 +11,39 @@ computation the same way the accelerator does:
   child indices as contiguous NumPy arrays plus the buckets in CSR form
   (offsets + one concatenated member array) — the software mirror of
   the hardware's word-addressable tree cache and bucket block store.
-* :func:`knn_approx_batched` advances *all* queries level-by-level with
-  one ``np.where`` per tree level, then answers whole buckets at a
+* :func:`knn_approx_batched` advances *all* queries level-by-level
+  (:meth:`FlatKdTree.descend_fast`), then answers whole buckets at a
   time: queries are grouped by the leaf they reached (argsort over leaf
-  ids) and each group is answered by one vectorized distance + top-k
+  ids) and each group is answered by one vectorized select-then-exact
   kernel.  No per-query Python loop runs on the hot path.
 * :func:`knn_exact_batched` starts from the batched approximate answer,
   certifies the majority of queries exact through the leaf radius test
   (k-th distance vs. the smallest splitting-plane margin crossed on the
   way down), and resolves the rest with a *batched* backtracking pass:
   a vectorized frontier walk collects every (query, bucket) pair the
-  branch-and-bound search could visit, then buckets are scanned one
-  vectorized merge at a time.
+  branch-and-bound search could visit, then each visited bucket is
+  scanned once for all the rows that reach it.
 
-Candidate *selection* inside a bucket uses the classic
-``|q|^2 - 2 q.c + |c|^2`` BLAS expansion for speed (in float32, keeping
-``SELECT_PAD`` extra candidates to absorb rounding at the selection
-boundary, with an exact float64 re-selection for the rare rows where
-more candidates tie at the boundary than the pad can hold; the
-per-row-constant ``|q|^2`` term is dropped where only the ranking
-matters).  The expansion is evaluated on
-*centered* coordinates — the cloud centroid is subtracted from both the
-reference points and the queries — because on raw coordinates its
-cancellation error grows with ``|q|^2``: a lidar frame in UTM-style
-coordinates far from the origin would swamp the true inter-point
-distances and select the wrong candidates entirely.  Centering makes
-the error scale with the cloud *extent* instead, which the pad absorbs.
-The final top-k and its reported distances are always decided on
-float64 distances recomputed from the raw coordinates with the same
-``sqrt(((q - c)^2).sum())`` kernel the per-query paths use, so results
-are element-for-element identical to the loop implementations (which
-remain available — and tested against — as ``knn_approx_loop`` /
-``knn_exact(engine=False)``).
+Both passes share one *select-then-exact* rule.  Per bucket group,
+candidates are scored in float32 as ``|c|^2 - 2 q.c`` over the
+bucket-ordered, centroid-centered ``bucket_xyz32`` / ``bucket_sq32``
+blocks.  Centering makes the score's rounding error scale with the
+cloud's extent rather than its distance from the origin, and the error
+is bounded per query and bucket, so each score brackets the exact one.
+Each row carries an upper bound on its exact k-th score: a bucket
+holding at least ``k`` points tightens it to that bucket's k-th score
+plus the error.  In the home pass that is the home bucket; in
+backtracking every visited bucket tightens it further (a *progressive*
+bound), so survivors stay near ``k`` per row however many buckets a row
+visits.  A candidate survives while its score minus the error is within
+the bound, so none the exact distances would rank in is dropped.  Only
+survivors are re-derived in float64 with the same
+``sqrt(((q - c)^2).sum())`` kernel the per-query paths use, and each
+row is ordered once, canonically — ascending distance, ties by
+ascending index.  Results are therefore element-for-element identical
+to the loop implementations (which remain available — and tested
+against — as ``knn_approx_loop`` / ``knn_exact(engine=False)``), ties
+included.
 """
 
 from __future__ import annotations
@@ -58,25 +59,20 @@ class FlatKdTree:
 
     Node arrays are indexed by node id (``nodes[i].index == i`` in the
     source tree); bucket membership is stored in CSR form
-    (``bucket_offsets`` / ``bucket_members``).  The selection-stage
-    arrays (``points_c`` / ``point_sq_c`` / ``bucket_xyz32`` /
-    ``bucket_sq32``) hold coordinates with ``centroid`` subtracted, so
-    the BLAS distance expansion stays cancellation-safe for clouds far
-    from the origin; ``points`` keeps the raw coordinates the exact
-    re-derivation kernel uses.  They are derived lazily on first query
-    — construction (``from_tree`` / ``from_arrays``) is purely
+    (``bucket_offsets`` / ``bucket_members``).  The kNN selection stage
+    scores candidates on ``bucket_xyz32`` / ``bucket_sq32``: the points
+    in bucket order with ``centroid`` subtracted, in float32, so the
+    float32 prefilter stays cancellation-safe for clouds far from the
+    origin; ``points`` keeps the raw coordinates the exact
+    re-derivation kernel uses.  Radius search additionally reads the
+    float64 centered ``points_c`` / ``point_sq_c``, which kNN never
+    builds.  All of them are derived lazily on first query —
+    construction (``from_tree`` / ``from_arrays``) is purely
     structural, so the build pipeline never pays for query-stage
     artifacts it may not use.
     """
 
     ROOT = 0
-
-    #: Extra candidates kept by the float32 selection stage.  The final
-    #: top-k is decided on exact float64 distances, so the pad only has
-    #: to absorb float32 rounding at the selection boundary; rows where
-    #: more candidates tie at that boundary than the pad can hold are
-    #: re-selected exactly in float64 (see ``_grouped_topk``).
-    SELECT_PAD = 4
 
     def __init__(
         self,
@@ -134,9 +130,9 @@ class FlatKdTree:
     @property
     def bucket_xyz32(self) -> np.ndarray:
         if self._bucket_xyz32 is None:
-            self._bucket_xyz32 = np.ascontiguousarray(
-                self.points_c[self.bucket_members], dtype=np.float32
-            )
+            self._bucket_xyz32 = (
+                self.points[self.bucket_members] - self.centroid
+            ).astype(np.float32)
         return self._bucket_xyz32
 
     @property
@@ -398,134 +394,162 @@ class _LevelPlan:
 
 
 # ----------------------------------------------------------------------
-# Vectorized bucket kernels
+# Select-then-exact kernel
 # ----------------------------------------------------------------------
-def _squared_distances(flat: FlatKdTree, qg: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Selection metric: ``|q - c|^2`` via the BLAS expansion, clipped at 0.
+#: Float32 score error bound, per unit of ``eps32 * (|q|^2 + M_b)``
+#: with ``q`` the centered query and ``M_b`` the largest centered
+#: squared norm in the scored bucket.  Rounding the centered
+#: coordinates to float32 and evaluating ``|c|^2 - 2 q.c`` in float32
+#: errs by at most 5.75 such units; 8 also absorbs the rounding of the
+#: bound arithmetic and the float64 re-derivation, so the prefilter
+#: cannot drop a candidate the exact distances would rank in.
+_ERR_EPS = np.float32(8.0 * np.finfo(np.float32).eps)
 
-    Evaluated on centered coordinates so the expansion's cancellation
-    error scales with the cloud extent, not the distance from the
-    origin.
+#: Rows per chunk of the exact re-derivation and canonical sort, so
+#: their temporaries scale with the survivors of a chunk, not a call.
+_ROW_CHUNK = 4096
+
+
+def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop offsets of the runs of equal keys in a sorted array."""
+    head = np.ones(sorted_keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    stops = np.empty_like(starts)
+    stops[:-1] = starts[1:]
+    stops[-1:] = sorted_keys.size
+    return starts, stops
+
+
+def _centered32(flat: FlatKdTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``-2 (q - centroid)`` and ``|q - centroid|^2`` in float32."""
+    qc = q - flat.centroid
+    # Scaling by -2 is exact, so ``qm2 @ c + |c|^2`` is ``|c|^2 - 2 q.c``.
+    return -2.0 * qc.astype(np.float32), (qc * qc).sum(axis=1).astype(np.float32)
+
+
+def _select(
+    flat: FlatKdTree,
+    qm2: np.ndarray,
+    qsq: np.ndarray,
+    vq: np.ndarray,
+    vb: np.ndarray,
+    bound: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Float32 prefilter over ``(row, bucket)`` visit pairs.
+
+    Pairs are grouped by bucket; each group scores its rows against
+    every member as ``|c|^2 - 2 q.c`` (``|q - c|^2`` less the row
+    constant ``|q|^2``), which brackets the exact score within
+    ``+-err``.  ``bound`` (updated in place) is an upper bound on each
+    row's exact k-th score: a bucket holding at least ``k`` points
+    tightens it to its in-bucket k-th score plus ``err``.  A candidate
+    survives while its score minus ``err`` is within the bound.
+    Returns the survivors as ``(row, point index, score - err)`` arrays
+    and the number of bucket groups scanned.
     """
-    qc = qg - flat.centroid
-    d2 = (
-        (qc * qc).sum(axis=1)[:, None]
-        - 2.0 * qc @ flat.points_c[cand].T
-        + flat.point_sq_c[cand][None, :]
+    order = np.argsort(vb, kind="stable")
+    sorted_b = vb[order]
+    run_starts, run_stops = _runs(sorted_b)
+    offsets = flat.bucket_offsets
+    xyz32, sq32 = flat.bucket_xyz32, flat.bucket_sq32
+    empty = np.empty(0, dtype=np.int64)
+    rows, pos, lows = [empty], [empty], [np.empty(0, dtype=np.float32)]
+    for start, stop in zip(run_starts, run_stops):
+        bid = sorted_b[start]
+        lo, hi = offsets[bid], offsets[bid + 1]
+        if hi == lo:
+            continue
+        qids = vq[order[start:stop]]
+        s = qm2[qids] @ xyz32[lo:hi].T
+        s += sq32[lo:hi]
+        err = _ERR_EPS * (qsq[qids] + sq32[lo:hi].max())
+        lim = bound[qids]
+        if hi - lo >= k:
+            kth = s.min(axis=1) if k == 1 else np.partition(s, k - 1, axis=1)[:, k - 1]
+            np.minimum(lim, kth + err, out=lim)
+            bound[qids] = lim
+        flat_pos = np.flatnonzero(s <= (lim + err)[:, None])
+        gi, bj = np.divmod(flat_pos, hi - lo)
+        rows.append(qids[gi])
+        pos.append(bj + lo)
+        lows.append(s.ravel()[flat_pos] - err[gi])
+    return (
+        np.concatenate(rows),
+        flat.bucket_members[np.concatenate(pos)],
+        np.concatenate(lows),
+        run_starts.size,
     )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
 
 
-def _exact_rows(
-    flat: FlatKdTree, qg: np.ndarray, sel_idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re-derive the reported distances of already-selected candidates
-    with the loop paths' exact kernel, and sort each row by them.
+def _exact_topk(
+    flat: FlatKdTree,
+    q: np.ndarray,
+    rows: np.ndarray,
+    cand: np.ndarray,
+    indices: np.ndarray,
+    distances: np.ndarray,
+) -> None:
+    """Re-derive survivor distances exactly and keep each row's top-k.
 
-    ``sel_idx`` is ``(G, t)`` global point indices (``-1`` padding).
-    Returns ``(indices, distances)`` rows sorted ascending, ``-1`` /
-    ``inf`` padded — element-for-element what the per-query searches
-    produce for the same candidate sets.
+    Distances use the per-query paths' ``sqrt(((q - c)^2).sum())``
+    kernel on the raw float64 coordinates; each row is ordered once,
+    canonically (ascending distance, ties by ascending index), and its
+    first ``k`` entries are written into ``indices`` / ``distances``.
+    Rows are processed ``_ROW_CHUNK`` at a time.
     """
-    from repro.kdtree.search import PAD_INDEX
+    get_registry().counter("engine.select.survivors").inc(int(rows.size))
+    k = indices.shape[1]
+    # Small-integer keys let NumPy's stable sort run as a radix sort.
+    chunk = rows // _ROW_CHUNK
+    order = np.argsort(
+        chunk.astype(np.min_scalar_type(q.shape[0] // _ROW_CHUNK)), kind="stable"
+    )
+    for a, z in zip(*_runs(chunk[order])):
+        r, c = rows[order[a:z]], cand[order[a:z]]
+        diff = q[r] - flat.points[c]
+        d = np.sqrt((diff * diff).sum(axis=1))
+        # Ascending distance, then (stably) ascending row.
+        by = np.argsort(d)
+        by = by[np.argsort((r[by] % _ROW_CHUNK).astype(np.uint16), kind="stable")]
+        r, c, d = r[by], c[by], d[by]
+        # Equal distances within a row: order those runs by index.
+        tie = np.zeros(r.size + 1, dtype=bool)
+        tie[1:-1] = (r[1:] == r[:-1]) & (d[1:] == d[:-1])
+        if tie.any():
+            t = np.flatnonzero(tie[1:] | tie[:-1])
+            c[t] = c[t][np.lexsort((c[t], d[t], r[t]))]
+        starts, stops = _runs(r)
+        rank = np.arange(r.size) - np.repeat(starts, stops - starts)
+        keep = rank < k
+        indices[r[keep], rank[keep]] = c[keep]
+        distances[r[keep], rank[keep]] = d[keep]
 
-    valid = sel_idx != PAD_INDEX
-    gathered = flat.points[np.where(valid, sel_idx, 0)]
-    diff = qg[:, None, :] - gathered
-    dists = np.sqrt((diff * diff).sum(axis=2))
-    dists[~valid] = np.inf
-    order = np.argsort(dists, axis=1, kind="stable")
-    rows = np.arange(sel_idx.shape[0])[:, None]
-    idx = np.where(valid, sel_idx, PAD_INDEX)[rows, order]
-    dst = dists[rows, order]
-    idx[np.isinf(dst)] = PAD_INDEX
-    return idx, dst
 
+def _home_topk(
+    flat: FlatKdTree, q: np.ndarray, leaf_ids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Top-k over each query's home bucket by select-then-exact.
 
-def _grouped_topk(
-    flat: FlatKdTree, q: np.ndarray, bucket_ids: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k over each query's bucket, one vectorized kernel per group.
-
-    Queries are grouped by bucket (argsort), candidates are *selected*
-    per group with a float32 BLAS metric over the CSR-aligned,
-    centroid-centered bucket blocks (keeping ``SELECT_PAD`` extras to
-    absorb float32 rounding, with an exact float64 re-selection for
-    rows where boundary ties overflow the pad), and the reported top-k
-    is decided on exactly recomputed float64 distances.  Returns
-    ``(indices, distances)`` of shape ``(M, k)``.
+    Returns ``(indices, distances)`` of shape ``(M, k)`` plus the
+    float32 query terms from :func:`_centered32` and the per-row score
+    bound the home bucket left behind (``inf`` where it holds fewer
+    than ``k`` points) for backtracking to start from.
     """
     from repro.kdtree.search import PAD_INDEX
 
     m = q.shape[0]
     indices = np.full((m, k), PAD_INDEX, dtype=np.int64)
     distances = np.full((m, k), np.inf)
-    if m == 0:
-        return indices, distances
-
-    q32 = (q - flat.centroid).astype(np.float32)
-    t = k + FlatKdTree.SELECT_PAD
-
-    order = np.argsort(bucket_ids, kind="stable")
-    sorted_b = bucket_ids[order]
-    run_starts = np.flatnonzero(np.r_[True, sorted_b[1:] != sorted_b[:-1]])
-    run_stops = np.r_[run_starts[1:], sorted_b.size]
-    get_registry().counter("engine.leaf_groups").inc(int(run_starts.size))
-
-    # Per-group selection fills one (M, t) candidate table; the exact
-    # re-derivation then runs as a single batched kernel over all rows
-    # rather than once per group.
-    sel = np.full((m, t), PAD_INDEX, dtype=np.int64)
-    offsets = flat.bucket_offsets
-    for start, stop in zip(run_starts, run_stops):
-        qids = order[start:stop]
-        bid = int(sorted_b[start])
-        lo, hi = offsets[bid], offsets[bid + 1]
-        b = hi - lo
-        if b == 0:
-            continue
-        cand = flat.bucket_members[lo:hi]
-        if b > t:
-            # |q|^2 is constant per row, so it cannot change which
-            # candidates rank in the top-t; rank on |c|^2 - 2 q.c only.
-            d2 = (
-                flat.bucket_sq32[lo:hi]
-                - 2.0 * (q32[qids] @ flat.bucket_xyz32[lo:hi].T)
-            )
-            part = np.argpartition(d2, t - 1, axis=1)[:, :t]
-            sel[qids] = cand[part]
-            # SELECT_PAD absorbs float32 rounding at the selection
-            # boundary only while fewer than t candidates sit within
-            # rounding distance of it.  Duplicate-heavy buckets (points
-            # identical up to float32 resolution, e.g. an unsplittable
-            # overflowed leaf) can tie tens of candidates there, and
-            # argpartition may then drop a true neighbor whose margin
-            # is representable in float64 but not float32.  Re-select
-            # those rows on exact difference-first float64 distances,
-            # id-ascending among ties so `_exact_rows`'s stable sort
-            # reports the canonical ids.
-            kth = np.max(np.take_along_axis(d2, part, axis=1), axis=1)
-            scale = (q32[qids] ** 2).sum(axis=1) + np.abs(
-                flat.bucket_sq32[lo:hi]
-            ).max()
-            margin = 16.0 * np.finfo(np.float32).eps * scale
-            risky = np.flatnonzero(
-                (d2 <= (kth + margin)[:, None]).sum(axis=1) > t
-            )
-            if risky.size:
-                ido = np.argsort(cand, kind="stable")
-                cpts = flat.points[cand[ido]]
-                diff = q[qids[risky], None, :] - cpts[None, :, :]
-                d64 = np.einsum("mbd,mbd->mb", diff, diff)
-                o = np.argsort(d64, axis=1, kind="stable")[:, :t]
-                sel[qids[risky]] = cand[ido][o]
-        else:
-            sel[qids, :b] = cand
-    idx, dst = _exact_rows(flat, q, sel)
-    indices[:] = idx[:, :k]
-    distances[:] = dst[:, :k]
-    return indices, distances
+    qm2, qsq = _centered32(flat, q)
+    bound = np.full(m, np.inf, dtype=np.float32)
+    rows, cand, _, groups = _select(
+        flat, qm2, qsq, np.arange(m), flat.bucket_id[leaf_ids], bound, k
+    )
+    get_registry().counter("engine.leaf_groups").inc(groups)
+    _exact_topk(flat, q, rows, cand, indices, distances)
+    return indices, distances, qm2, qsq, bound
 
 
 def knn_approx_batched(flat: FlatKdTree, queries: np.ndarray, k: int):
@@ -537,8 +561,7 @@ def knn_approx_batched(flat: FlatKdTree, queries: np.ndarray, k: int):
     obs = get_registry()
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     with obs.timer("engine.approx"):
-        leaf_ids = flat.descend(q)
-        indices, distances = _grouped_topk(flat, q, flat.bucket_id[leaf_ids], k)
+        indices, distances, *_ = _home_topk(flat, q, flat.descend_fast(q), k)
     if obs.enabled:
         obs.counter("engine.approx.calls").inc()
         obs.counter("engine.approx.queries").inc(q.shape[0])
@@ -559,7 +582,7 @@ def _collect_backtrack_visits(
 
     Re-descends every unsettled query from the root, always following
     the near child and forking into the far child whenever the
-    splitting-plane margin is below the query's bound — exactly the
+    splitting-plane margin does not exceed the query's bound — exactly the
     pruning rule of the per-query exact search, with the (already
     computed) single-bucket k-th distance as a conservative bound.
     Returns the ``(query_id, bucket_id)`` pairs to scan, excluding each
@@ -587,7 +610,7 @@ def _collect_backtrack_visits(
         go_left = delta <= 0
         near = np.where(go_left, flat.left[frontier_n], flat.right[frontier_n])
         far = np.where(go_left, flat.right[frontier_n], flat.left[frontier_n])
-        fork = np.abs(delta) < bound[frontier_q]
+        fork = np.abs(delta) <= bound[frontier_q]
         frontier_n = np.concatenate([near, far[fork]])
         frontier_q = np.concatenate([frontier_q, frontier_q[fork]])
     if not visit_q:
@@ -649,9 +672,8 @@ def _truncate_visits(
     """
     order = np.argsort(vq, kind="stable")
     vq_s, vb_s = vq[order], vb[order]
-    starts = np.flatnonzero(np.r_[True, vq_s[1:] != vq_s[:-1]])
-    sizes = np.diff(np.r_[starts, vq_s.size])
-    rank = np.arange(vq_s.size) - np.repeat(starts, sizes)
+    starts, stops = _runs(vq_s)
+    rank = np.arange(vq_s.size) - np.repeat(starts, stops - starts)
     keep = rank < max_visits
     return vq_s[keep], vb_s[keep]
 
@@ -663,21 +685,17 @@ def _exact_batched_impl(
 
     flat = tree.flat()
     leaf_ids, margins = flat.descend_with_margin(q)
-    indices, distances = _grouped_topk(flat, q, flat.bucket_id[leaf_ids], k)
+    indices, distances, qm2, qsq, bound = _home_topk(flat, q, leaf_ids, k)
     visits = np.ones(q.shape[0], dtype=np.int64)
 
     # Leaf radius test: a query is settled iff it found k neighbors all
-    # closer than every splitting plane it crossed — backtracking could
-    # not improve it (the exact search prunes the far side of a plane
-    # unless its margin is below the current k-th best).
+    # strictly closer than every splitting plane it crossed, so no point
+    # across a plane can beat or tie (with a lower index) its k-th.
     kth = distances[:, k - 1]
-    unsettled = np.flatnonzero(~(kth <= margins))
+    unsettled = np.flatnonzero(~(kth < margins))
     if obs.enabled:
         obs.counter("engine.exact.unsettled").inc(int(unsettled.size))
-    if unsettled.size == 0:
-        return indices, distances, visits
-
-    if max_visits == 0:
+    if unsettled.size == 0 or max_visits == 0:
         return indices, distances, visits
 
     vq, vb = _collect_backtrack_visits(flat, q, unsettled, leaf_ids, kth)
@@ -692,52 +710,17 @@ def _exact_batched_impl(
     if vq.size == 0:
         return indices, distances, visits
 
-    # Merge the visited buckets into each query's running candidate
-    # set, one vectorized merge per distinct bucket.  Selection runs on
-    # the centered BLAS metric and, as in the single-bucket pass, keeps
-    # ``SELECT_PAD`` extra candidates so rounding at the selection
-    # boundary (the running set squares previously sqrt'd distances,
-    # new candidates come from the expansion) cannot drop a true
-    # neighbor; the touched rows are re-derived exactly — and cut back
-    # to k — at the end.
-    t = k + FlatKdTree.SELECT_PAD
-    row_of = np.full(q.shape[0], -1, dtype=np.int64)
-    row_of[unsettled] = np.arange(unsettled.size)
-    run_d2 = np.concatenate(
-        [distances[unsettled] ** 2, np.full((unsettled.size, t - k), np.inf)],
-        axis=1,
-    )
-    run_idx = np.concatenate(
-        [
-            indices[unsettled],
-            np.full((unsettled.size, t - k), PAD_INDEX, dtype=np.int64),
-        ],
-        axis=1,
-    )
-    order = np.argsort(vb, kind="stable")
-    sorted_b = vb[order]
-    run_starts = np.flatnonzero(np.r_[True, sorted_b[1:] != sorted_b[:-1]])
-    run_stops = np.r_[run_starts[1:], sorted_b.size]
-    for start, stop in zip(run_starts, run_stops):
-        qids = vq[order[start:stop]]
-        cand = flat.bucket(int(sorted_b[start]))
-        visits[qids] += 1
-        if cand.size == 0:
-            continue
-        rows = row_of[qids]
-        d2 = _squared_distances(flat, q[qids], cand)
-        cat_d2 = np.concatenate([run_d2[rows], d2], axis=1)
-        cat_idx = np.concatenate(
-            [run_idx[rows], np.broadcast_to(cand, (qids.size, cand.size))], axis=1
-        )
-        part = np.argpartition(cat_d2, t - 1, axis=1)[:, :t]
-        run_d2[rows] = np.take_along_axis(cat_d2, part, axis=1)
-        run_idx[rows] = np.take_along_axis(cat_idx, part, axis=1)
-
+    # Backtracking continues the home pass's per-row score bound: every
+    # visited bucket with at least k points tightens it, and only the
+    # candidates still within the final bound join the home top-k in
+    # the exact re-derivation.
+    visits += np.bincount(vq, minlength=q.shape[0])
+    rows, cand, low, _ = _select(flat, qm2, qsq, vq, vb, bound, k)
+    live = low <= bound[rows]
     touched = np.unique(vq)
-    idx, dst = _exact_rows(flat, q[touched], run_idx[row_of[touched]])
-    indices[touched] = idx[:, :k]
-    distances[touched] = dst[:, :k]
-    # Rows the radius test missed but backtracking never improved keep
-    # their (already exact) single-bucket answer untouched.
+    home_idx = indices[touched]
+    home = home_idx != PAD_INDEX
+    rows = np.concatenate([np.repeat(touched, home.sum(axis=1)), rows[live]])
+    cand = np.concatenate([home_idx[home], cand[live]])
+    _exact_topk(flat, q, rows, cand, indices, distances)
     return indices, distances, visits

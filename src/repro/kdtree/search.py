@@ -99,13 +99,12 @@ def _as_query_array(queries) -> np.ndarray:
 
 
 def _top_k(dists: np.ndarray, candidate_idx: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-k selection with padding; returns (indices, distances)."""
+    """Smallest-k selection with padding; returns (indices, distances).
+
+    Canonical order: ascending distance, ties by ascending index.
+    """
     m = dists.shape[0]
-    if m > k:
-        part = np.argpartition(dists, k - 1)[:k]
-        order = part[np.argsort(dists[part], kind="stable")]
-    else:
-        order = np.argsort(dists, kind="stable")
+    order = np.lexsort((candidate_idx, dists))
     idx = np.full(k, PAD_INDEX, dtype=np.int64)
     dst = np.full(k, np.inf)
     take = min(k, m)
@@ -362,9 +361,9 @@ def _exact_single(
         delta = point[node.dim] - node.threshold
         near, far = (node.left, node.right) if delta <= 0 else (node.right, node.left)
         visit(near)
-        # Backtrack into the far side only if its slab can beat the
-        # current k-th best distance.
-        if abs(delta) < worst():
+        # Backtrack into the far side only if its slab can beat or tie
+        # the current k-th best distance (a tie may hold a lower index).
+        if abs(delta) <= worst():
             visit(far)
 
     visit(tree.ROOT)
@@ -376,10 +375,13 @@ def _exact_single(
 
 
 def _insert_bounded(idx: list[int], dst: list[float], i: int, d: float, k: int) -> None:
-    """Insert (i, d) into the sorted running top-k lists."""
-    if len(dst) == k and d >= dst[-1]:
+    """Insert (i, d) into the running top-k lists, kept in canonical
+    order (ascending distance, ties by ascending index)."""
+    if len(dst) == k and (d > dst[-1] or (d == dst[-1] and i > idx[-1])):
         return
     pos = int(np.searchsorted(np.asarray(dst), d))
+    while pos < len(dst) and dst[pos] == d and idx[pos] < i:
+        pos += 1
     idx.insert(pos, i)
     dst.insert(pos, d)
     if len(dst) > k:

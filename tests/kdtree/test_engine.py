@@ -203,13 +203,14 @@ class TestVisitBudget:
 
 
 class TestSelectionTieOverflow:
-    """Boundary ties wider than SELECT_PAD must not drop a true neighbor.
+    """Float32 score ties must not drop a true neighbor.
 
     An unsplittable bucket of duplicates collapses to one float32
-    selection score; with more tied candidates than the pad holds,
-    argpartition used to pick an arbitrary subset and could exclude a
-    strictly closer point whose margin (here 2^-9 in z) is representable
-    in float64 but below float32 resolution at the centered magnitude.
+    selection score, hiding a strictly closer point whose margin (here
+    2^-9 in z) is representable in float64 but below float32 resolution
+    at the centered magnitude.  The select-then-exact prefilter keeps
+    every candidate within its float32 error of the bound, so the
+    exact re-derivation still sees it.
     """
 
     @pytest.fixture()
@@ -238,4 +239,38 @@ class TestSelectionTieOverflow:
         points, tree = degenerate
         batched, _ = knn_exact_batched(tree, points[:8], 4)
         loop = knn_exact(tree, points[:8], 4, engine=False)
+        assert np.array_equal(batched.indices, loop.indices)
         assert np.array_equal(batched.distances, loop.distances)
+
+
+class TestSelectionSurvivors:
+    def test_survivor_counter(self, workload):
+        from repro.obs import MetricsRegistry, use_registry
+
+        tree, _, queries = workload
+        with use_registry(MetricsRegistry()) as reg:
+            knn_approx_batched(tree.flat(), queries, 4)
+        # Every row keeps at least its k neighbors for re-derivation.
+        assert reg.as_dict()["engine.select.survivors"] >= 4 * queries.shape[0]
+        with use_registry(MetricsRegistry()) as reg:
+            knn_exact_batched(tree, queries, 4)
+        assert reg.as_dict()["engine.select.survivors"] >= 4 * queries.shape[0]
+
+
+class TestLazySelectionArrays:
+    def test_knn_does_not_build_radius_arrays(self):
+        from repro.kdtree import build_flat
+        from repro.query import radius_batched, radius_reference
+
+        ref, qry = lidar_frame_pair(3_000, seed=4)
+        flat, _ = build_flat(ref.xyz, KdTreeConfig(bucket_capacity=64))
+        queries = qry.xyz[:200]
+        knn_approx_batched(flat, queries, 4)
+        knn_exact_batched(flat, queries, 4)
+        assert flat._points_c is None
+        assert flat._point_sq_c is None
+        got = radius_batched(flat, queries, 0.5)
+        want = radius_reference(flat, queries, 0.5)
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.distances, want.distances)
