@@ -38,11 +38,7 @@ from repro.kdtree.search import (
     radius_search,
 )
 from repro.kdtree.serialize import (
-    flat_from_arrays,
-    flat_to_arrays,
-    load_flat,
     load_tree,
-    save_flat,
     save_tree,
     tree_from_arrays,
     tree_to_arrays,
@@ -75,8 +71,6 @@ __all__ = [
     "build_tree",
     "build_tree_vectorized",
     "check_tree",
-    "flat_from_arrays",
-    "flat_to_arrays",
     "knn_approx",
     "knn_approx_batched",
     "knn_approx_loop",
@@ -87,13 +81,11 @@ __all__ = [
     "boundary_distances",
     "diagnose_misses",
     "leaf_regions",
-    "load_flat",
     "load_tree",
     "node_access_probability",
     "place_points",
     "radius_search",
     "reuse_tree",
-    "save_flat",
     "save_tree",
     "tree_from_arrays",
     "tree_stats",

@@ -90,6 +90,33 @@ class QueryResult:
         return self.indices != PAD_INDEX
 
 
+def merge_topk(
+    indices_parts: list[np.ndarray],
+    distances_parts: list[np.ndarray],
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise k-smallest merge of top-k lists over disjoint point sets.
+
+    Inputs are ``(M, k_s)`` point indices (``-1`` padding) and matching
+    float64 distances (``inf`` padding), one pair per part — serving
+    shards or blocked-index blocks.  Rows of the output are in canonical
+    order — ascending distance, ties broken by ascending point id,
+    padding last — implemented as two stable argsorts (secondary key
+    first).  The parts partition the points, so no id appears twice and
+    the merged set is the global top-k whenever each part is its local
+    top-k.
+    """
+    cat_idx = np.concatenate(indices_parts, axis=1)
+    cat_dst = np.concatenate(distances_parts, axis=1)
+    o1 = np.argsort(cat_idx, axis=1, kind="stable")
+    o2 = np.argsort(np.take_along_axis(cat_dst, o1, axis=1), axis=1, kind="stable")
+    order = np.take_along_axis(o1, o2, axis=1)[:, :k]
+    idx = np.take_along_axis(cat_idx, order, axis=1)
+    dst = np.take_along_axis(cat_dst, order, axis=1)
+    idx[np.isinf(dst)] = PAD_INDEX
+    return np.ascontiguousarray(idx), np.ascontiguousarray(dst)
+
+
 def _as_query_array(queries) -> np.ndarray:
     xyz = queries.xyz if isinstance(queries, PointCloud) else np.asarray(queries, dtype=np.float64)
     xyz = np.atleast_2d(xyz)

@@ -1,20 +1,12 @@
 """k-d tree (de)serialization.
 
-Flattens a tree into plain numpy arrays and back, for saving to ``.npz``
-or shipping across processes.  The array layout mirrors the hardware's
-word-addressable tree cache: one fixed-width record per node.
-
-Two formats live here:
-
-* :func:`save_tree` / :func:`load_tree` — the node-and-pointer
-  :class:`~repro.kdtree.node.KdTree` (object graph reconstructed on
-  load; what the arch models and per-query searches consume).
-* :func:`save_flat` / :func:`load_flat` — **deprecated** wrappers over
-  :class:`repro.kdtree.snapshot.Snapshot`, the unified flat-tree
-  snapshot handle both the disk and shared-memory transports consume.
-  The wrappers keep reading and writing the identical ``.npz`` format,
-  so existing snapshot files (and code) keep working while emitting a
-  ``DeprecationWarning``.
+Flattens a node-and-pointer :class:`~repro.kdtree.node.KdTree` into
+plain numpy arrays and back (:func:`save_tree` / :func:`load_tree`),
+for saving to ``.npz`` or shipping across processes; the object graph
+is reconstructed on load for the arch models and per-query searches.
+The array layout mirrors the hardware's word-addressable tree cache:
+one fixed-width record per node.  Flat trees have their own format,
+:class:`repro.kdtree.snapshot.Snapshot`.
 """
 
 from __future__ import annotations
@@ -24,10 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.kdtree.engine import FlatKdTree
 from repro.kdtree.node import KdNode, KdTree
-from repro.kdtree.snapshot import Snapshot
-from repro.registry import warn_deprecated_alias
 
 _FORMAT_VERSION = 1
 
@@ -110,54 +99,3 @@ def load_tree(path: str | Path | io.IOBase) -> KdTree:
     """Read a tree written by :func:`save_tree`."""
     with np.load(path) as payload:
         return tree_from_arrays({key: payload[key] for key in payload.files})
-
-
-# ----------------------------------------------------------------------
-# FlatKdTree snapshots — deprecated wrappers over repro.kdtree.snapshot
-# ----------------------------------------------------------------------
-def _snapshot_deprecated(old: str, new: str) -> None:
-    # stacklevel=4: warn -> warn_deprecated_alias -> this helper ->
-    # wrapper -> caller.
-    warn_deprecated_alias(
-        f"repro.kdtree.serialize.{old}",
-        f"repro.kdtree.snapshot.{new}",
-        stacklevel=4,
-    )
-
-
-def flat_to_arrays(flat: FlatKdTree) -> dict[str, np.ndarray]:
-    """Deprecated: use :meth:`repro.kdtree.snapshot.Snapshot.to_payload`."""
-    _snapshot_deprecated("flat_to_arrays", "Snapshot.from_flat(...).to_payload()")
-    return Snapshot.from_flat(flat).to_payload()
-
-
-def flat_from_arrays(arrays: dict[str, np.ndarray]) -> FlatKdTree:
-    """Deprecated: use :meth:`repro.kdtree.snapshot.Snapshot.from_payload`."""
-    _snapshot_deprecated("flat_from_arrays", "Snapshot.from_payload(...).to_flat()")
-    return Snapshot.from_payload(arrays).to_flat()
-
-
-def save_flat(
-    flat: FlatKdTree,
-    path: str | Path | io.IOBase,
-    *,
-    extra: dict[str, np.ndarray] | None = None,
-) -> None:
-    """Deprecated: use :meth:`repro.kdtree.snapshot.Snapshot.save`.
-
-    Writes the identical ``.npz`` format (``Snapshot.load`` reads old
-    ``save_flat`` files and vice versa).
-    """
-    _snapshot_deprecated("save_flat", "Snapshot.from_flat(...).save(path)")
-    Snapshot.from_flat(flat, extra=extra).save(path)
-
-
-def load_flat(
-    path: str | Path | io.IOBase, *, with_extra: bool = False
-) -> FlatKdTree | tuple[FlatKdTree, dict[str, np.ndarray]]:
-    """Deprecated: use :meth:`repro.kdtree.snapshot.Snapshot.load`."""
-    _snapshot_deprecated("load_flat", "Snapshot.load(path)")
-    snap = Snapshot.load(path)
-    if not with_extra:
-        return snap.to_flat()
-    return snap.to_flat(), dict(snap.extras)

@@ -7,11 +7,9 @@ engine's structure-of-arrays layout, plus caller-owned side arrays
 this way), under a versioned header.  It is the single currency every
 snapshot path consumes:
 
-* **disk** — :meth:`Snapshot.save` / :meth:`Snapshot.load` write the
-  ``.npz`` format historically produced by
-  :func:`repro.kdtree.serialize.save_flat` (which now delegates here
-  and is deprecated), so old snapshot files keep loading and new files
-  keep loading in old readers.
+* **disk** — :meth:`Snapshot.save` / :meth:`Snapshot.load` write and
+  read one ``.npz`` file; the layout is unchanged since format version
+  1, so snapshot files written by any earlier release still load.
 * **shared memory** — :meth:`Snapshot.to_payload` flattens the
   snapshot into one ``{name: array}`` dict that
   :mod:`repro.serve.shm` lays out in a ``multiprocessing.shared_memory``
@@ -33,13 +31,13 @@ import numpy as np
 
 from repro.kdtree.engine import FlatKdTree
 
-#: Version stamped into every payload header.  Version 1 is the PR 5
-#: ``save_flat`` layout; this module reads and writes it unchanged so
-#: snapshots interoperate across the rename.
+#: Version stamped into every payload header.  Every snapshot file
+#: ever written uses version 1, and this module reads and writes it
+#: unchanged.
 FORMAT_VERSION = 1
 
-#: Header key carrying the format version (kept from the original
-#: ``save_flat`` payload for backward/forward compatibility).
+#: Header key carrying the format version (its name is part of the
+#: version-1 file format).
 _VERSION_KEY = "flat_version"
 
 #: The structural arrays of a FlatKdTree, in constructor order.
@@ -140,7 +138,7 @@ class Snapshot:
     def load(
         cls, path: str | Path | io.IOBase, *, mmap_mode: str | None = None
     ) -> "Snapshot":
-        """Read a snapshot written by :meth:`save` (or legacy ``save_flat``).
+        """Read a snapshot written by :meth:`save`.
 
         ``mmap_mode`` (default ``None``: read everything eagerly, the
         historical behavior) opts into lazy page-in: ``"r"`` maps each

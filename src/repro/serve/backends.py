@@ -2,10 +2,11 @@
 
 The serving coordinator (:class:`~repro.serve.server.KnnServer`) owns
 admission, batch formation, the degradation ladder, failure policy,
-and the canonical top-k merge.  What it delegates is *execution*: given
-a dispatched batch job and a shard slot, compute that shard's local
-top-k.  An :class:`ExecutionBackend` is that delegation boundary, and
-the registry (:func:`register_backend` / :func:`make_backend`) mirrors
+and the canonical merges.  What it delegates is *execution*: given a
+dispatched batch job and a shard slot, run the job's call on that
+shard (``job.call.run(shard, q)``: local top-k or local radius rows).
+An :class:`ExecutionBackend` is that delegation boundary, and the
+registry (:func:`register_backend` / :func:`make_backend`) mirrors
 the repo's ``engine=`` / ``builder=`` knob pattern — string-keyed,
 validated at config time, every entry bit-identical in its answers.
 
@@ -165,14 +166,7 @@ class ThreadBackend(ExecutionBackend):
                           "request_ids": job.request_ids,
                           "shard": slot},
                 ):
-                    if job.kind == "radius":
-                        payload = job.shards[slot].search_radius(
-                            job.q, job.radius, job.k
-                        )
-                    else:
-                        payload = job.shards[slot].search(
-                            job.q, job.k, job.budget
-                        )
+                    payload = job.call.run(job.shards[slot], job.q)
             except Exception as exc:
                 server._shard_failed(job, slot, exc)
                 continue
@@ -340,8 +334,8 @@ class ProcessBackend(ExecutionBackend):
             name = self._segment_names.get((job.generation, slot))
         if name is None:
             return  # generation already retired — the job is being torn down
-        task = (job.job_id, job.generation, name, job.q, job.k, job.budget,
-                job.request_ids, job.kind, job.radius)
+        task = (job.job_id, job.generation, name, job.q, job.call,
+                job.request_ids)
         workers = self._slot_workers[slot]
         start = next(self._rr[slot])
         for i in range(len(workers)):

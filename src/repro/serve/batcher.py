@@ -18,28 +18,32 @@ import threading
 import time
 from dataclasses import dataclass, field
 from concurrent.futures import Future
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.serve.errors import Overloaded, ServerClosed
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.serve.server import KnnCall, RadiusCall
 
 
 @dataclass
 class ServeRequest:
     """One admitted unit of work: a few query rows plus routing flags.
 
-    ``kind`` selects the query modality: ``"knn"`` (the default top-k
-    path) or ``"radius"`` (batched range search returning ragged CSR
-    rows).  A radius request stores its ``max_neighbors`` cap in ``k``
-    and its radius in ``radius``; it is always served exact.
+    ``call`` is the request kind as submitted — a
+    :class:`~repro.serve.server.KnnCall` or
+    :class:`~repro.serve.server.RadiusCall` value — and answers what
+    the request costs, how it is planned under load, how a shard runs
+    it and how its answer is merged.  ``mode`` and ``allow_degraded``
+    are the kNN caller's flags that the plan reads.
     """
 
     xyz: np.ndarray                 # (m, 3) float64 query rows
-    k: int
-    mode: str                       # "exact" | "approx"
-    allow_degraded: bool
-    kind: str = "knn"               # "knn" | "radius"
-    radius: float = 0.0             # ball radius for kind == "radius"
+    call: KnnCall | RadiusCall
+    mode: str = "exact"             # "exact" | "approx"
+    allow_degraded: bool = False
     future: Future = field(default_factory=Future)
     arrival: float = 0.0            # monotonic admission time
     deadline: float | None = None   # monotonic; None = no timeout
@@ -54,15 +58,13 @@ class ServeRequest:
     def cost_rows(self) -> int:
         """Queue-accounting weight of this request, in answer rows.
 
-        A kNN request costs its geometric row count.  A radius row can
-        return up to ``max_neighbors`` (= ``k``) candidates, so it
-        occupies ``rows × k`` budget — which is why the server requires
-        a finite cap on served radius queries: unbounded rows would
-        make admission control blind to their true cost.
+        A kNN request costs its geometric row count; a radius row can
+        return up to ``max_neighbors`` candidates, so it occupies that
+        many.  This is why served radius queries need a finite cap:
+        unbounded rows would make admission control blind to their
+        true cost.
         """
-        if self.kind == "radius":
-            return self.xyz.shape[0] * self.k
-        return self.xyz.shape[0]
+        return self.call.cost(self.xyz.shape[0])
 
 
 class MicroBatcher:

@@ -2,27 +2,34 @@
 
 The request path, in the order a query row experiences it:
 
-1. **Admission** — ``submit`` validates the rows and offers them to the
-   bounded :class:`~repro.serve.batcher.MicroBatcher`; a full queue
-   sheds the request synchronously with
+1. **Admission** — ``submit`` / ``submit_radius`` validate their own
+   arguments, wrap them in a *request-kind value* (:class:`KnnCall` or
+   :class:`RadiusCall`) and hand the rows to one shared ``_admit``,
+   which offers them to the bounded
+   :class:`~repro.serve.batcher.MicroBatcher` at the kind's
+   ``cost(rows)``; a full queue sheds the request synchronously with
    :class:`~repro.serve.errors.Overloaded` (a typed refusal, never a
    degraded-silently answer).
 2. **Batch formation** — the dispatcher thread pulls a batch when it
    fills or its deadline lapses, reads the queue fraction to pick the
-   degradation level, drops already-expired requests, and groups the
-   rest by ``(k, effective budget)`` so each group is one engine call.
-3. **Fan-out** — each group becomes a job holding a snapshot of the
-   current shard generation; one task per shard goes to the
-   *execution backend* (:mod:`repro.serve.backends`): thread replicas
-   computing in-process, or worker processes computing against
+   degradation level, drops already-expired requests, and asks each
+   request's kind to ``plan`` the call it will run at that level.
+   Requests are grouped by planned call, so each group is one engine
+   call.
+3. **Fan-out** — each group becomes a job holding its call and a
+   snapshot of the current shard generation; one task per shard goes
+   to the *execution backend* (:mod:`repro.serve.backends`): thread
+   replicas computing in-process, or worker processes computing against
    shared-memory snapshots of the shard trees.  Either way the shard
-   computes its local top-k through the batched engine and translates
-   local ids to global ids.
+   runs ``call.run(shard, q)``: local top-k or local radius rows
+   through the batched kernels, translated to global ids.
 4. **Merge** — when the last shard answers, the coordinator merges the
-   per-shard lists with the canonical
-   :func:`~repro.serve.sharding.merge_topk` rule and resolves every
-   request's future with a :class:`ServeResponse`.  The merge always
-   runs in the coordinator, so exact answers are bit-identical to the
+   per-shard parts with ``call.merge`` (the canonical
+   :func:`~repro.kdtree.search.merge_topk` rule, or
+   :func:`~repro.serve.sharding.merge_radius`) and resolves every
+   request's future with ``call.respond`` (a :class:`ServeResponse` or
+   :class:`RadiusServeResponse` for its rows).  The merge always runs
+   in the coordinator, so exact answers are bit-identical to the
    unsharded engine for any shard count **and either backend**.
 5. **Failure handling** — a monitor thread enforces per-request
    deadlines (:class:`~repro.serve.errors.RequestTimeout`), re-submits
@@ -43,7 +50,9 @@ level  approx requests          exact requests with ``allow_degraded``
 
 Exact requests *without* ``allow_degraded`` are never degraded — they
 run the unbounded exact search at every level and rely on admission
-control alone.  Every response reports the level and budget it was
+control alone.  Radius requests never degrade either: a truncated ball
+has no honest meaning, and each row prepaid its worst case at
+admission.  Every response reports the level and budget it was
 served at, so a degraded answer is always labelled as one.
 
 Warm handoff: :meth:`KnnServer.update_reference` rebuilds the shard
@@ -69,20 +78,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.kdtree.flat_build import build_flat
-from repro.kdtree.search import QueryResult
+from repro.kdtree.search import QueryResult, merge_topk
 from repro.kdtree.snapshot import Snapshot
 from repro.obs import get_registry
 from repro.serve.backends import make_backend
 from repro.serve.batcher import MicroBatcher, ServeRequest
 from repro.serve.config import ServeConfig
 from repro.serve.errors import RequestTimeout, ServerClosed
-from repro.serve.sharding import (
-    ShardPlan,
-    ShardState,
-    make_plan,
-    merge_radius,
-    merge_topk,
-)
+from repro.serve.sharding import ShardPlan, ShardState, make_plan, merge_radius
 
 _SNAPSHOT_GLOB = "shard-*.npz"
 
@@ -153,33 +156,126 @@ class RadiusServeResponse:
         )
 
 
+@dataclass(frozen=True)
+class KnnCall:
+    """The kNN request kind: top-``k`` with an engine ``budget``.
+
+    ``budget`` is the ``max_visits`` the shard search runs with:
+    ``None`` the unbounded exact search, ``0`` the home bucket only.
+    A submitted request carries ``budget=None``; :meth:`plan` picks the
+    budget its degradation level allows.  The value is hashable, so
+    the dispatcher groups requests on the planned call.
+    """
+
+    k: int
+    budget: int | None = None
+
+    def cost(self, rows: int) -> int:
+        """Queue rows charged at admission: one per query row."""
+        return rows
+
+    def plan(self, request: ServeRequest, level: int,
+             approx_budget: int) -> tuple["KnnCall", str]:
+        """Map (request, load level) to the call to run and its label."""
+        b = approx_budget
+        if request.mode == "approx":
+            budget = (b, b // 2, b // 4, 0)[level]
+            return KnnCall(self.k, budget), ("approx" if budget == b else "degraded")
+        if not request.allow_degraded or level == 0:
+            return KnnCall(self.k), "exact"
+        return KnnCall(self.k, (None, 4 * b, b, 0)[level]), "degraded"
+
+    def run(self, shard: ShardState, q: np.ndarray):
+        return shard.search(q, self.k, self.budget)
+
+    def merge(self, parts: list[tuple], n_rows: int):
+        return merge_topk([p[0] for p in parts], [p[1] for p in parts], self.k)
+
+    def respond(self, merged, lo: int, hi: int, request: ServeRequest,
+                job: "_BatchJob", latency_s: float) -> ServeResponse:
+        indices, distances = merged
+        return ServeResponse(
+            indices=indices[lo:hi],
+            distances=distances[lo:hi],
+            mode=request.mode,
+            served=request.served,
+            degrade_level=job.degrade_level,
+            budget=self.budget,
+            latency_s=latency_s,
+            generation=job.generation,
+            request_id=request.request_id,
+        )
+
+
+@dataclass(frozen=True)
+class RadiusCall:
+    """The radius request kind: every point within ``radius``, capped.
+
+    Each row returns at most its nearest ``max_neighbors``, so
+    admission charges ``rows × max_neighbors`` queue rows.  Radius
+    calls never degrade: :meth:`plan` always returns the call itself.
+    """
+
+    radius: float
+    max_neighbors: int
+
+    def cost(self, rows: int) -> int:
+        """Queue rows charged at admission: the worst-case answer size."""
+        return rows * self.max_neighbors
+
+    def plan(self, request: ServeRequest, level: int,
+             approx_budget: int) -> tuple["RadiusCall", str]:
+        return self, "exact"
+
+    def run(self, shard: ShardState, q: np.ndarray):
+        return shard.search_radius(q, self.radius, self.max_neighbors)
+
+    def merge(self, parts: list[tuple], n_rows: int):
+        return merge_radius(parts, n_rows, self.max_neighbors)
+
+    def respond(self, merged, lo: int, hi: int, request: ServeRequest,
+                job: "_BatchJob", latency_s: float) -> RadiusServeResponse:
+        first = int(merged.offsets[lo])
+        last = int(merged.offsets[hi])
+        return RadiusServeResponse(
+            indices=merged.indices[first:last],
+            distances=merged.distances[first:last],
+            offsets=merged.offsets[lo : hi + 1] - first,
+            radius=self.radius,
+            max_neighbors=self.max_neighbors,
+            # Always 0: radius answers never degrade, and reporting the
+            # queue-pressure ladder level here would read as a
+            # truncated ball.
+            degrade_level=0,
+            latency_s=latency_s,
+            generation=job.generation,
+            request_id=request.request_id,
+        )
+
+
 class _BatchJob:
     """One engine call's worth of coalesced rows, fanned out to shards."""
 
     __slots__ = (
-        "job_id", "requests", "request_ids", "q", "k", "budget", "shards",
+        "job_id", "requests", "request_ids", "q", "call", "shards",
         "generation", "degrade_level", "lock", "results", "shard_done",
         "hedged", "attempts", "n_done", "finished", "dispatched_at",
-        "kind", "radius",
     )
 
-    def __init__(self, job_id, requests, q, k, budget, shards, generation,
-                 degrade_level, dispatched_at, kind="knn", radius=0.0):
+    def __init__(self, job_id, requests, q, call, shards, generation,
+                 degrade_level, dispatched_at):
         self.job_id: int = job_id
         self.requests: list[ServeRequest] = requests
         self.request_ids: list[int] = [r.request_id for r in requests]
         self.q = q                       # (rows, 3) concatenated queries
-        self.k = k
-        self.budget = budget             # None = unbounded exact
-        self.kind: str = kind            # "knn" | "radius"
-        self.radius: float = radius      # ball radius for kind == "radius"
+        self.call: KnnCall | RadiusCall = call
         self.shards: tuple[ShardState, ...] = shards
         self.generation = generation
         self.degrade_level = degrade_level
         self.lock = threading.Lock()
         n = len(shards)
-        #: Per-shard result payload: ``(indices, distances)`` for kNN,
-        #: ``(indices, distances, offsets)`` CSR for radius.
+        #: Per-shard ``call.run`` payload: ``(indices, distances)`` for
+        #: kNN, ``(indices, distances, offsets)`` CSR for radius.
         self.results: list[tuple | None] = [None] * n
         self.shard_done = [False] * n
         self.hedged = [False] * n
@@ -229,16 +325,7 @@ class KnnServer:
     ):
         self.config = config or ServeConfig()
         self._clock = clock
-        xyz = np.ascontiguousarray(np.asarray(reference, dtype=np.float64))
-        if xyz.ndim != 2 or xyz.shape[1] != 3:
-            raise ValueError("reference must have shape (N, 3)")
-        plan = make_plan(xyz, self.config.n_shards, self.config.sharding)
-        shards = tuple(
-            ShardState(tree=build_flat(xyz[ids], self.config.tree)[0],
-                       global_ids=ids)
-            for ids in plan.global_ids
-        )
-        self._boot(plan, shards)
+        self._boot(*self._build_shards(reference, "reference"))
 
     @classmethod
     def from_snapshots(cls, directory, config: ServeConfig | None = None,
@@ -250,20 +337,10 @@ class KnnServer:
         at 1).  Answers are bit-identical to the server that saved the
         snapshots: the flat trees round-trip exactly.
         """
-        from dataclasses import replace
-
         paths = sorted(Path(directory).glob(_SNAPSHOT_GLOB))
         if not paths:
             raise FileNotFoundError(
                 f"no {_SNAPSHOT_GLOB} snapshots under {directory}"
-            )
-        config = config or ServeConfig()
-        if config.n_shards == 1 and len(paths) > 1:
-            config = replace(config, n_shards=len(paths))
-        if config.n_shards != len(paths):
-            raise ValueError(
-                f"config.n_shards={config.n_shards} but found "
-                f"{len(paths)} snapshot shards under {directory}"
             )
         shards = tuple(
             ShardState.from_snapshot(Snapshot.load(path)) for path in paths
@@ -302,6 +379,21 @@ class KnnServer:
         self._clock = clock
         self._boot(plan, shards)
         return self
+
+    def _build_shards(
+        self, points, name: str
+    ) -> tuple[ShardPlan, tuple[ShardState, ...]]:
+        """Split ``(N, 3)`` points per the config and build every shard."""
+        xyz = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
+        if xyz.ndim != 2 or xyz.shape[1] != 3:
+            raise ValueError(f"{name} must have shape (N, 3)")
+        plan = make_plan(xyz, self.config.n_shards, self.config.sharding)
+        shards = tuple(
+            ShardState(tree=build_flat(xyz[ids], self.config.tree)[0],
+                       global_ids=ids)
+            for ids in plan.global_ids
+        )
+        return plan, shards
 
     def _boot(self, plan: ShardPlan, shards: tuple[ShardState, ...]) -> None:
         self._plan = plan
@@ -362,29 +454,9 @@ class KnnServer:
             raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
         if k < 1:
             raise ValueError("k must be positive")
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if q.ndim != 2 or q.shape[1] != 3 or q.shape[0] == 0:
-            raise ValueError("queries must have shape (m, 3) with m >= 1")
-        request = ServeRequest(
-            xyz=np.ascontiguousarray(q), k=k, mode=mode,
-            allow_degraded=allow_degraded,
-            request_id=next(self._request_ids),
-        )
-        if self.config.request_timeout_s is not None:
-            request.deadline = self._clock() + self.config.request_timeout_s
-        try:
-            with get_registry().phase(
-                "serve.admit",
-                args={"request_id": request.request_id,
-                      "rows": request.n_rows},
-            ):
-                self._batcher.submit(request)
-        except Exception:
-            self._count("serve.shed", 1)
-            raise
-        self._count("serve.requests", 1)
-        self._count("serve.rows", request.n_rows)
-        return request.future
+        return self._admit(
+            queries, KnnCall(k), mode=mode, allow_degraded=allow_degraded
+        ).future
 
     def query(self, queries, k: int, *, mode: str = "exact",
               allow_degraded: bool = False,
@@ -412,12 +484,27 @@ class KnnServer:
                 "max_neighbors must be a positive row cap (radius "
                 "requests are admitted by their worst-case answer size)"
             )
+        request = self._admit(queries, RadiusCall(radius, max_neighbors))
+        self._count("serve.radius_requests", 1)
+        return request.future
+
+    def query_radius(self, queries, radius: float, *, max_neighbors: int,
+                     timeout: float | None = None) -> "RadiusServeResponse":
+        """Blocking :meth:`submit_radius`: wait for and return the response."""
+        return self.submit_radius(
+            queries, radius, max_neighbors=max_neighbors
+        ).result(timeout=timeout)
+
+    def _admit(self, queries, call: KnnCall | RadiusCall, *,
+               mode: str = "exact",
+               allow_degraded: bool = False) -> ServeRequest:
+        """Validate the rows and offer one request of kind ``call``."""
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if q.ndim != 2 or q.shape[1] != 3 or q.shape[0] == 0:
             raise ValueError("queries must have shape (m, 3) with m >= 1")
         request = ServeRequest(
-            xyz=np.ascontiguousarray(q), k=max_neighbors, mode="exact",
-            allow_degraded=False, kind="radius", radius=radius,
+            xyz=np.ascontiguousarray(q), call=call, mode=mode,
+            allow_degraded=allow_degraded,
             request_id=next(self._request_ids),
         )
         if self.config.request_timeout_s is not None:
@@ -433,16 +520,8 @@ class KnnServer:
             self._count("serve.shed", 1)
             raise
         self._count("serve.requests", 1)
-        self._count("serve.radius_requests", 1)
         self._count("serve.rows", request.n_rows)
-        return request.future
-
-    def query_radius(self, queries, radius: float, *, max_neighbors: int,
-                     timeout: float | None = None) -> "RadiusServeResponse":
-        """Blocking :meth:`submit_radius`: wait for and return the response."""
-        return self.submit_radius(
-            queries, radius, max_neighbors=max_neighbors
-        ).result(timeout=timeout)
+        return request
 
     def update_reference(self, points) -> dict:
         """Warm handoff: rebuild every shard from ``points``, swap atomically.
@@ -456,25 +535,17 @@ class KnnServer:
         retired once its last in-flight job drains.  Returns a summary
         (new generation, shard sizes, rebuild wall time).
         """
-        xyz = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-        if xyz.ndim != 2 or xyz.shape[1] != 3:
-            raise ValueError("points must have shape (N, 3)")
         started = self._clock()
-        plan = make_plan(xyz, self.config.n_shards, self.config.sharding)
         obs = get_registry()
         with self._rebuild_lock:
             with self._obs_lock, obs.timer("serve.rebuild"):
-                shards = tuple(
-                    ShardState(tree=build_flat(xyz[ids], self.config.tree)[0],
-                               global_ids=ids)
-                    for ids in plan.global_ids
-                )
+                plan, shards = self._build_shards(points, "points")
             next_generation = self._swap_in(plan, shards)
         self._maybe_retire(next_generation - 1)
         self._count("serve.rebuilds", 1)
         return {
             "generation": next_generation,
-            "n_points": int(xyz.shape[0]),
+            "n_points": plan.n_points,
             "shard_sizes": [int(ids.size) for ids in plan.global_ids],
             "rebuild_s": self._clock() - started,
         }
@@ -632,17 +703,6 @@ class KnnServer:
             return 1
         return 0
 
-    def _plan_budget(self, request: ServeRequest, level: int) -> tuple[int | None, str]:
-        """Map (request, load level) to an engine budget and a label."""
-        b = self.config.approx_budget
-        if request.mode == "approx":
-            budget = (b, b // 2, b // 4, 0)[level]
-            return budget, ("approx" if budget == b else "degraded")
-        if not request.allow_degraded or level == 0:
-            return None, "exact"
-        budget = (None, 4 * b, b, 0)[level]
-        return budget, "degraded"
-
     # ------------------------------------------------------------------
     # Dispatcher
     # ------------------------------------------------------------------
@@ -680,7 +740,7 @@ class KnnServer:
                 obs.gauge("serve.degrade_level").set(level)
                 obs.distribution("serve.batch_fill").observe(batch_rows)
 
-        live: list[tuple[ServeRequest, int | None, str]] = []
+        groups: dict[KnnCall | RadiusCall, list[ServeRequest]] = {}
         for request in batch:
             if request.deadline is not None and now >= request.deadline:
                 waited = now - request.arrival
@@ -690,39 +750,24 @@ class KnnServer:
                 ):
                     self._count("serve.timeouts", 1)
                 continue
-            if request.kind == "radius":
-                # Radius rows never degrade: a truncated ball has no
-                # honest meaning, and each row prepaid its worst case
-                # at admission.
-                budget, served = None, "exact"
-            else:
-                budget, served = self._plan_budget(request, level)
-            live.append((request, budget, served))
-
-        groups: dict[tuple, list[tuple[ServeRequest, str]]] = {}
-        for request, budget, served in live:
-            key = (request.kind, request.k, budget, request.radius)
-            groups.setdefault(key, []).append((request, served))
+            call, request.served = request.call.plan(
+                request, level, self.config.approx_budget
+            )
+            groups.setdefault(call, []).append(request)
 
         with self._swap_lock:
             shards = self._shards
             generation = self._generation
-        for (kind, k, budget, radius), members in groups.items():
-            requests = [r for r, _ in members]
-            for request, served in members:
-                request.served = served
+        for call, requests in groups.items():
             job = _BatchJob(
                 job_id=next(self._job_ids),
                 requests=requests,
                 q=np.concatenate([r.xyz for r in requests], axis=0),
-                k=k,
-                budget=budget,
+                call=call,
                 shards=shards,
                 generation=generation,
                 degrade_level=level,
                 dispatched_at=now,
-                kind=kind,
-                radius=radius,
             )
             with self._inflight_lock:
                 self._inflight[job.job_id] = job
@@ -751,7 +796,7 @@ class KnnServer:
     ) -> None:
         """A shard's local result arrived; merge when it was the last.
 
-        ``payload`` is the shard's result tuple for the job's kind:
+        ``payload`` is what ``job.call.run`` returned on the shard:
         ``(indices, distances)`` top-k arrays for kNN,
         ``(indices, distances, offsets)`` CSR for radius.
         """
@@ -784,81 +829,29 @@ class KnnServer:
         self._count("serve.errors", len(job.requests))
 
     def _finish_job(self, job: _BatchJob) -> None:
+        """Merge the shard parts and resolve each request with its rows."""
         with job.lock:
             if job.finished:
                 return
             job.finished = True
         self._drop_inflight(job)
-        if job.kind == "radius":
-            self._finish_radius_job(job)
-            return
-        parts = job.results
         obs = get_registry()
         with obs.phase(
             "serve.merge",
             args={"job_id": job.job_id, "request_ids": job.request_ids},
         ):
-            indices, distances = merge_topk(
-                [p[0] for p in parts], [p[1] for p in parts], job.k
-            )
+            merged = job.call.merge(job.results, int(job.q.shape[0]))
         now = self._clock()
-        row = 0
+        hi = 0
         for request in job.requests:
-            rows = slice(row, row + request.n_rows)
-            row += request.n_rows
-            response = ServeResponse(
-                indices=indices[rows],
-                distances=distances[rows],
-                mode=request.mode,
-                served=request.served,
-                degrade_level=job.degrade_level,
-                budget=job.budget,
-                latency_s=now - request.arrival,
-                generation=job.generation,
-                request_id=request.request_id,
+            lo, hi = hi, hi + request.n_rows
+            response = job.call.respond(
+                merged, lo, hi, request, job, now - request.arrival
             )
             if _try_set_result(request.future, response):
                 self._count("serve.completed", 1)
-                if response.degraded:
+                if request.served == "degraded":
                     self._count("serve.degraded", 1)
-                if obs.enabled:
-                    with self._obs_lock:
-                        obs.histogram("serve.latency_ms").observe(
-                            response.latency_s * 1e3
-                        )
-
-    def _finish_radius_job(self, job: _BatchJob) -> None:
-        """Merge per-shard CSR parts and slice per-request sub-results."""
-        obs = get_registry()
-        n_rows = int(job.q.shape[0])
-        with obs.phase(
-            "serve.merge",
-            args={"job_id": job.job_id, "request_ids": job.request_ids},
-        ):
-            merged = merge_radius(job.results, n_rows, job.k)
-        now = self._clock()
-        row = 0
-        for request in job.requests:
-            row0, row1 = row, row + request.n_rows
-            row = row1
-            lo = int(merged.offsets[row0])
-            hi = int(merged.offsets[row1])
-            response = RadiusServeResponse(
-                indices=merged.indices[lo:hi],
-                distances=merged.distances[lo:hi],
-                offsets=merged.offsets[row0 : row1 + 1] - lo,
-                radius=job.radius,
-                max_neighbors=job.k,
-                # Always 0: radius answers never degrade, and reporting
-                # the queue-pressure ladder level here would read as a
-                # truncated ball.
-                degrade_level=0,
-                latency_s=now - request.arrival,
-                generation=job.generation,
-                request_id=request.request_id,
-            )
-            if _try_set_result(request.future, response):
-                self._count("serve.completed", 1)
                 if obs.enabled:
                     with self._obs_lock:
                         obs.histogram("serve.latency_ms").observe(

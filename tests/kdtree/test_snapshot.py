@@ -42,38 +42,23 @@ class TestRoundTrips:
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.distances, b.distances)
 
+    def test_file_extras_roundtrip(self, flat, tmp_path):
+        path = tmp_path / "snap.npz"
+        ids = np.arange(0, 1_500, 3, dtype=np.int64)
+        Snapshot.from_flat(flat, extra={"global_ids": ids}).save(path)
+        snap = Snapshot.load(path)
+        assert snap.extras["global_ids"].dtype == np.int64
+        assert np.array_equal(snap.extras["global_ids"], ids)
+        clone = snap.to_flat()  # the tree ignores the extras
+        for name in FLAT_FIELDS:
+            assert np.array_equal(getattr(flat, name), getattr(clone, name)), name
+
     def test_stream_roundtrip(self, flat):
         buffer = io.BytesIO()
         Snapshot.from_flat(flat).save(buffer)
         buffer.seek(0)
         clone = Snapshot.load(buffer)
         assert np.array_equal(clone.arrays["bucket_offsets"], flat.bucket_offsets)
-
-
-class TestWireCompat:
-    """Old save_flat files and new Snapshot files must interoperate."""
-
-    def test_legacy_save_flat_file_loads(self, flat, tmp_path):
-        from repro.kdtree.serialize import save_flat
-
-        path = tmp_path / "legacy.npz"
-        ids = np.arange(0, 1_500, 3, dtype=np.int64)
-        with pytest.deprecated_call():
-            save_flat(flat, path, extra={"global_ids": ids})
-        snap = Snapshot.load(path)
-        assert np.array_equal(snap.extras["global_ids"], ids)
-        assert np.array_equal(snap.to_flat().points, flat.points)
-
-    def test_snapshot_file_loads_via_legacy_reader(self, flat, tmp_path):
-        from repro.kdtree.serialize import load_flat
-
-        path = tmp_path / "new.npz"
-        ids = np.arange(7, dtype=np.int64)
-        Snapshot.from_flat(flat, extra={"global_ids": ids}).save(path)
-        with pytest.deprecated_call():
-            clone, extras = load_flat(path, with_extra=True)
-        assert np.array_equal(extras["global_ids"], ids)
-        assert np.array_equal(clone.points, flat.points)
 
 
 class TestValidation:

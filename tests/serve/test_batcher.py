@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.serve import MicroBatcher, Overloaded, ServeRequest, ServerClosed
+from repro.serve.server import KnnCall
 
 
 class FakeClock:
@@ -22,7 +23,8 @@ class FakeClock:
 
 def request(rows: int = 1, k: int = 4) -> ServeRequest:
     return ServeRequest(
-        xyz=np.zeros((rows, 3)), k=k, mode="exact", allow_degraded=False
+        xyz=np.zeros((rows, 3)), call=KnnCall(k), mode="exact",
+        allow_degraded=False,
     )
 
 

@@ -23,6 +23,7 @@ from repro.serve import (
     ServeRequest,
     ServerClosed,
 )
+from repro.serve.server import KnnCall, RadiusCall
 
 RADIUS = 3.0
 CAP = 6
@@ -95,27 +96,44 @@ class TestBitIdentity:
         assert row == queries.shape[0]
 
     def test_mixed_knn_and_radius_traffic(self, cloud, monolithic):
+        """Exact, approx and radius requests in one batch: three calls,
+        each answered exactly as if it had been served alone."""
         ref, queries = cloud
-        with KnnServer(ref, _config("thread", "round-robin")) as server:
-            knn_future = server.submit(queries[:32], 4)
-            radius_future = server.submit_radius(
+        senders = [
+            lambda server: server.submit(queries[:32], 4),
+            lambda server: server.submit(queries[32:48], 4, mode="approx"),
+            lambda server: server.submit_radius(
                 queries, RADIUS, max_neighbors=CAP
-            )
-            knn = knn_future.result(timeout=60)
-            ragged = radius_future.result(timeout=60).as_ragged()
-        assert knn.indices.shape == (32, 4)
-        np.testing.assert_array_equal(ragged.indices, monolithic.indices)
+            ),
+        ]
+        for backend in ("thread", "process"):
+            config = _config(backend, "round-robin", max_delay_s=0.2)
+            with KnnServer(ref, config) as server:
+                alone = [send(server).result(timeout=60) for send in senders]
+                batches = server.stats()["counters"]["serve.batches"]
+                futures = [send(server) for send in senders]
+                mixed = [f.result(timeout=60) for f in futures]
+                assert server.stats()["counters"]["serve.batches"] == batches + 1
+            for want, got in zip(alone, mixed):
+                np.testing.assert_array_equal(got.indices, want.indices)
+                np.testing.assert_array_equal(got.distances, want.distances)
+            assert mixed[0].indices.shape == (32, 4)
+            assert mixed[1].served == "approx"
+            ragged = mixed[2].as_ragged()
+            np.testing.assert_array_equal(ragged.offsets, monolithic.offsets)
+            np.testing.assert_array_equal(ragged.indices, monolithic.indices)
 
 
 class TestAdmission:
     def test_cost_rows_charges_worst_case(self):
         request = ServeRequest(
-            xyz=np.zeros((10, 3)), k=7, mode="exact",
-            allow_degraded=False, kind="radius", radius=1.0,
+            xyz=np.zeros((10, 3)), call=RadiusCall(radius=1.0, max_neighbors=7),
+            mode="exact", allow_degraded=False,
         )
         assert request.cost_rows == 70
         knn = ServeRequest(
-            xyz=np.zeros((10, 3)), k=7, mode="exact", allow_degraded=True,
+            xyz=np.zeros((10, 3)), call=KnnCall(k=7), mode="exact",
+            allow_degraded=True,
         )
         assert knn.cost_rows == 10
 

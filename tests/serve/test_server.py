@@ -9,6 +9,7 @@ import pytest
 from repro.datasets.synthetic import uniform_cloud
 from repro.kdtree import build_flat, knn_approx_batched, knn_exact_batched
 from repro.obs import MetricsRegistry, use_registry
+from repro.query import radius_batched
 from repro.serve import (
     KnnServer,
     Overloaded,
@@ -188,76 +189,114 @@ class TestTimeout:
             assert excinfo.value.timeout_s == 0.05
 
 
+#: Both request kinds ride the same failure machinery.
+KINDS = ("knn", "radius")
+RADIUS = 4.0
+
+
+def _ask(server, queries, kind):
+    """One request of ``kind``, answered as ``(indices, distances)``."""
+    if kind == "knn":
+        response = server.query(queries, 4, timeout=10)
+    else:
+        response = server.query_radius(
+            queries, RADIUS, max_neighbors=4, timeout=10
+        )
+    return response.indices, response.distances
+
+
+def _unsharded(ref, queries, kind):
+    """The same request answered by the kernels on one unsharded tree."""
+    flat, _ = build_flat(ref)
+    if kind == "knn":
+        result, _ = knn_exact_batched(flat, queries, 4)
+    else:
+        result = radius_batched(flat, queries, RADIUS, max_neighbors=4)
+    return result.indices, result.distances
+
+
+def _assert_same(got, want):
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
 class TestFailureHandling:
+    """Retry, exhausted retries and hedging, for every request kind."""
+
     def test_retry_recovers_from_transient_shard_failure(self, cloud):
         ref, queries = cloud
-        server = KnnServer(ref, ServeConfig(max_retries=1, max_delay_s=0.001))
-        original = server._shards[0].tree
-        state = {"failures_left": 1}
+        for kind in KINDS:
+            server = KnnServer(ref, ServeConfig(max_retries=1, max_delay_s=0.001))
+            original = server._shards[0].tree
+            state = {"failures_left": 1}
 
-        class FlakyTree:
-            def __getattr__(self, name):
-                return getattr(original, name)
+            class FlakyTree:
+                def __getattr__(self, name):
+                    return getattr(original, name)
 
-            def flat(self):
-                if state["failures_left"] > 0:
-                    state["failures_left"] -= 1
-                    raise RuntimeError("injected")
-                return original.flat()
+                def flat(self):
+                    if state["failures_left"] > 0:
+                        state["failures_left"] -= 1
+                        raise RuntimeError("injected")
+                    return original.flat()
 
-        object.__setattr__(server._shards[0], "tree", FlakyTree())
-        try:
-            response = server.query(queries[:4], 4, timeout=10)
-            assert response.indices.shape == (4, 4)
-        finally:
-            server.close()
+            object.__setattr__(server._shards[0], "tree", FlakyTree())
+            try:
+                got = _ask(server, queries[:4], kind)
+                assert state["failures_left"] == 0
+                assert server.stats()["counters"]["serve.retries"] == 1
+            finally:
+                server.close()
+            _assert_same(got, _unsharded(ref, queries[:4], kind))
 
     def test_exhausted_retries_surface_the_error(self, cloud):
         ref, queries = cloud
-        server = KnnServer(ref, ServeConfig(max_retries=0, max_delay_s=0.001))
+        for kind in KINDS:
+            server = KnnServer(ref, ServeConfig(max_retries=0, max_delay_s=0.001))
 
-        class DeadTree:
-            def flat(self):
-                raise RuntimeError("shard is dead")
+            class DeadTree:
+                def flat(self):
+                    raise RuntimeError("shard is dead")
 
-        object.__setattr__(server._shards[0], "tree", DeadTree())
-        try:
-            with pytest.raises(RuntimeError, match="shard is dead"):
-                server.query(queries[:4], 4, timeout=10)
-        finally:
-            server.close()
+            object.__setattr__(server._shards[0], "tree", DeadTree())
+            try:
+                with pytest.raises(RuntimeError, match="shard is dead"):
+                    _ask(server, queries[:4], kind)
+            finally:
+                server.close()
 
     def test_hedge_beats_a_stalled_replica(self, cloud):
         ref, queries = cloud
         config = ServeConfig(
             n_shards=2, n_replicas=2, hedge_delay_s=0.05, max_delay_s=0.001
         )
-        server = KnnServer(ref, config)
-        original = server._shards[0].tree
-        lock = threading.Lock()
-        calls = {"n": 0}
+        for kind in KINDS:
+            server = KnnServer(ref, config)
+            original = server._shards[0].tree
+            lock = threading.Lock()
+            calls = {"n": 0}
 
-        class SlowOnceTree:
-            def __getattr__(self, name):
-                return getattr(original, name)
+            class SlowOnceTree:
+                def __getattr__(self, name):
+                    return getattr(original, name)
 
-            def flat(self):
-                with lock:
-                    calls["n"] += 1
-                    first = calls["n"] == 1
-                if first:
-                    time.sleep(0.5)
-                return original.flat()
+                def flat(self):
+                    with lock:
+                        calls["n"] += 1
+                        first = calls["n"] == 1
+                    if first:
+                        time.sleep(0.5)
+                    return original.flat()
 
-        object.__setattr__(server._shards[0], "tree", SlowOnceTree())
-        try:
-            start = time.perf_counter()
-            response = server.query(queries[:4], 4, timeout=10)
-            elapsed = time.perf_counter() - start
-            assert elapsed < 0.4  # hedge answered before the 0.5s stall
-            assert response.indices.shape == (4, 4)
-        finally:
-            server.close()
+            object.__setattr__(server._shards[0], "tree", SlowOnceTree())
+            try:
+                start = time.perf_counter()
+                got = _ask(server, queries[:4], kind)
+                elapsed = time.perf_counter() - start
+                assert elapsed < 0.4  # hedge answered before the 0.5s stall
+            finally:
+                server.close()
+            _assert_same(got, _unsharded(ref, queries[:4], kind))
 
 
 class TestWarmHandoff:
