@@ -6,8 +6,8 @@ Two trajectory points over one accumulated city-block map:
   stage, per-block trees) at the configured worker count, in points
   per second.  The entry records the inline (1-worker) time and the
   machine's core count alongside, because on a 1-core runner the
-  worker processes only add spawn overhead — the honesty note the
-  committed baseline carries.
+  build threads have nothing to run on in parallel — the honesty note
+  a 1-core baseline carries.
 * ``engine.blocked_vs_monolithic`` — exact routed queries through the
   :class:`~repro.kdtree.blocked.BlockedIndex` under a small
   resident-block budget, in queries per second, with the monolithic
@@ -129,10 +129,9 @@ def test_blocked_build_parallel(benchmark, bench_build, city_map, tmp_path):
     parallel_s = min(parallel_times)
     if cores == 1:
         bench_build.derived["blocked_parallel_note"] = (
-            f"recorded on a 1-core machine: the {WORKERS}-worker build pays "
-            f"process spawn + shm handoff overhead ({parallel_s:.2f}s vs "
-            f"{inline_s:.2f}s inline) with no cores to win it back; on "
-            "multi-core hardware the same entry should beat inline_s"
+            f"recorded on a 1-core machine: the {WORKERS} build threads "
+            f"share one core ({parallel_s:.2f}s vs {inline_s:.2f}s inline); "
+            "on multi-core hardware the same entry should beat inline_s"
         )
     benchmark.extra_info["inline_s"] = round(inline_s, 3)
     benchmark.extra_info["parallel_s"] = round(parallel_s, 3)

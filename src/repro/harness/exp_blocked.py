@@ -66,8 +66,9 @@ def blocked_build(
     cache honoring its budget under eviction pressure, and the serving
     phase's RSS growth staying within the block-budget working set
     rather than the whole map.  The parallel-vs-inline comparison is
-    reported honestly: with one usable core, process fan-out pays spawn
-    overhead for no speedup, and the check degrades to recording that.
+    reported honestly: with one usable core, the build threads have
+    nothing to run on in parallel, and the check degrades to recording
+    that.
     """
     cores = os.cpu_count() or 1
     with tempfile.TemporaryDirectory(prefix="qknn-blocked-exp-") as tmp:
@@ -152,7 +153,7 @@ def blocked_build(
         parallel_ok = True
     elif one_core:
         parallel_note = (
-            f"1 usable core: {workers}-worker build pays spawn overhead "
+            f"1 usable core: {workers} build threads share it "
             f"({parallel_s:.2f}s vs {inline_s:.2f}s inline) — recorded, "
             "not asserted"
         )

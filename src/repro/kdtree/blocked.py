@@ -4,10 +4,10 @@ Every other layer of the repo measures KITTI-frame scale (~30k points);
 accumulated maps are 1M-100M.  Following FractalCloud's
 partition-parallel, locality-first argument, this module splits a huge
 cloud spatially, builds one :class:`~repro.kdtree.engine.FlatKdTree`
-per block with the level-synchronous builder — optionally fanned out
-across worker processes with points handed over through
-:mod:`repro.serve.shm` segments — and stitches the blocks under a
-top-level :class:`BlockedIndex` router:
+per block with the level-synchronous builder — chunks and blocks
+spread over a pool of worker threads that read the staging buffers in
+place — and stitches the blocks under a top-level :class:`BlockedIndex`
+router:
 
 * **Partitioning** is a string knob (:data:`PARTITIONERS`): ``"grid"``
   bins into a uniform cell grid sized to the cloud's extents;
@@ -48,10 +48,10 @@ import json
 import os
 import tempfile
 import time
-import uuid
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -232,16 +232,17 @@ class BlockedBuildConfig:
         Spatial split, from :data:`PARTITIONERS` (``"grid"`` or
         ``"kd-cut"``).
     workers:
-        Worker processes for the per-block tree builds.  ``1`` builds
-        inline; more fan blocks out over shared-memory point handoff.
-        Results are bit-identical for any worker count.
+        Build threads: at most this many chunks label and stage at
+        once, then at most this many blocks build at once.  Results
+        are bit-identical for any worker count.
     tree:
         Per-block :class:`~repro.kdtree.config.KdTreeConfig`.
     sample_size:
         Points sampled to fit the partitioner.
     chunk_points:
         Points staged per labeling/gather chunk — the build's RAM
-        high-water mark scales with this plus one block, not the cloud.
+        high-water mark scales with ``workers`` chunks or ``workers``
+        blocks, not the cloud.
     """
 
     target_block_points: int = 250_000
@@ -317,10 +318,16 @@ def _as_source(points) -> np.ndarray:
     return source
 
 
-def _chunks(source, chunk_points: int) -> Iterator[tuple[int, np.ndarray]]:
-    for start in range(0, source.shape[0], chunk_points):
-        stop = min(start + chunk_points, source.shape[0])
-        yield start, np.asarray(source[start:stop], dtype=np.float64)
+def _bounds(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis min and max of ``(N, 3)`` points.
+
+    One reduction per column: NumPy's ``axis=0`` reduction over a
+    3-wide array is about 5x slower than three strided column scans.
+    """
+    return (
+        np.array([xyz[:, d].min() for d in range(3)]),
+        np.array([xyz[:, d].max() for d in range(3)]),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -357,55 +364,77 @@ def build_blocked(
     block_dir = Path(block_dir)
     block_dir.mkdir(parents=True, exist_ok=True)
 
-    # Pass 0: exact bounds + partitioner sample (both chunked).
-    lo = np.full(3, np.inf)
-    hi = np.full(3, -np.inf)
-    for _, chunk in _chunks(source, config.chunk_points):
-        np.minimum(lo, chunk.min(axis=0), out=lo)
-        np.maximum(hi, chunk.max(axis=0), out=hi)
-    take = min(config.sample_size, n)
-    sample_ids = np.sort(rng.choice(n, size=take, replace=False))
-    sample = np.asarray(source[sample_ids], dtype=np.float64)
+    starts = range(0, n, config.chunk_points)
 
-    fit = PARTITIONERS.resolve(config.partitioner)
-    n_cells, assign = fit(sample, lo, hi, n_blocks)
+    def chunk(start: int) -> np.ndarray:
+        stop = start + config.chunk_points
+        return np.asarray(source[start:stop], dtype=np.float64)
 
-    # Pass 1: per-cell occupancy; empty cells are dropped so block ids
-    # are dense.
-    cell_counts = np.zeros(n_cells, dtype=np.int64)
-    for _, chunk in _chunks(source, config.chunk_points):
-        cell_counts += np.bincount(assign(chunk), minlength=n_cells)
-    used = np.flatnonzero(cell_counts)
-    cell_to_block = np.full(n_cells, -1, dtype=np.int64)
-    cell_to_block[used] = np.arange(used.size)
-    block_counts = cell_counts[used]
-    n_blocks = used.size
+    # Every pass runs on one pool of ``workers`` threads: chunks label
+    # and scatter in parallel (each into slices fixed in advance, so
+    # the staged order never depends on thread timing), then blocks
+    # build in parallel.
+    with ThreadPoolExecutor(config.workers) as pool:
+        # Pass 0: exact bounds + partitioner sample.
+        bounds = list(pool.map(lambda start: _bounds(chunk(start)), starts))
+        lo = np.min([b[0] for b in bounds], axis=0)
+        hi = np.max([b[1] for b in bounds], axis=0)
+        take = min(config.sample_size, n)
+        sample_ids = np.sort(rng.choice(n, size=take, replace=False))
+        sample = np.asarray(source[sample_ids], dtype=np.float64)
 
-    # Pass 2: gather points and global ids per block.  Staging buffers
-    # are per-block memmaps when the cloud exceeds one chunk (the
-    # out-of-core case) and plain arrays otherwise.
-    staged = _stage_blocks(
-        source, assign, cell_to_block, block_counts, block_dir, config
-    )
+        fit = PARTITIONERS.resolve(config.partitioner)
+        n_cells, assign = fit(sample, lo, hi, n_blocks)
 
-    # Pass 3: build one flat tree per block and snapshot it.  Each
-    # block's builder rng is seeded by block id, so results are
-    # identical whether blocks build inline or on worker processes.
-    seed0 = int(rng.integers(0, 2**31 - 1))
-    files = [f"block_{b:05d}.npz" for b in range(n_blocks)]
-    if config.workers > 1 and n_blocks > 1:
-        build_stats = _build_blocks_parallel(
-            staged, files, block_dir, config, seed0
-        )
-    else:
-        build_stats = [
-            _build_one_block(
-                staged.points(b), staged.ids(b), block_dir / files[b],
-                config.tree, seed0 + b,
+        # Staging buffers are memmaps under block_dir/staging/ when the
+        # cloud exceeds one chunk (the out-of-core case) and plain
+        # arrays otherwise; they go away however the build ends.
+        staged = _Stager(n, n_cells, block_dir, len(starts) > 1)
+        try:
+            # Pass 1: label every point once and count per-chunk cell
+            # occupancy; empty cells are dropped so block ids are dense.
+            def label(start: int) -> np.ndarray:
+                labels = assign(chunk(start))
+                staged.labels[start:start + labels.size] = labels
+                return np.bincount(labels, minlength=n_cells)
+
+            chunk_counts = np.array(list(pool.map(label, starts)))
+            cell_counts = chunk_counts.sum(axis=0)
+            used = np.flatnonzero(cell_counts)
+            cell_to_block = np.zeros(
+                n_cells, dtype=np.min_scalar_type(used.size)
             )
-            for b in range(n_blocks)
-        ]
-    staged.cleanup()
+            cell_to_block[used] = np.arange(used.size)
+            block_counts = cell_counts[used]
+            n_blocks = used.size
+
+            # Pass 2: gather points and global ids per block.  Chunk c
+            # writes block b's rows after those of chunks before it, so
+            # each block keeps scan order.
+            per_chunk = chunk_counts[:, used]
+            offsets = np.cumsum(per_chunk, axis=0) - per_chunk
+            staged.allocate(block_counts)
+            aabbs = list(pool.map(
+                lambda start, at: staged.scatter(
+                    chunk(start), start, cell_to_block, at
+                ),
+                starts, offsets,
+            ))
+            aabb_lo = np.min([box[0] for box in aabbs], axis=0)
+            aabb_hi = np.max([box[1] for box in aabbs], axis=0)
+
+            # Pass 3: build one flat tree per block and snapshot it.
+            # Each block's builder rng is seeded by block id, so the
+            # snapshots are identical for any worker count.
+            seed0 = int(rng.integers(0, 2**31 - 1))
+            files = [f"block_{b:05d}.npz" for b in range(n_blocks)]
+            build_stats = _build_blocks(
+                pool, staged, files, block_dir, config.tree, seed0
+            )
+        finally:
+            # Staging must outlive every task that may still touch it.
+            pool.shutdown(cancel_futures=True)
+            staged.cleanup()
 
     manifest = {
         "version": MANIFEST_VERSION,
@@ -413,8 +442,8 @@ def build_blocked(
         "n_blocks": int(n_blocks),
         "files": files,
         "block_points": [int(c) for c in block_counts],
-        "aabb_lo": staged.aabb_lo.tolist(),
-        "aabb_hi": staged.aabb_hi.tolist(),
+        "aabb_lo": aabb_lo.tolist(),
+        "aabb_hi": aabb_hi.tolist(),
         "config": config.to_manifest(),
         "build": {
             "workers": config.workers,
@@ -432,43 +461,60 @@ def build_blocked(
 
 
 class _Stager:
-    """Per-block gather buffers + running AABBs for pass 2."""
+    """Pass 1 cell labels, then per-block gather buffers for pass 2."""
 
-    def __init__(self, block_counts, block_dir: Path, out_of_core: bool):
-        self.aabb_lo = np.full((block_counts.size, 3), np.inf)
-        self.aabb_hi = np.full((block_counts.size, 3), -np.inf)
-        self._fill = np.zeros(block_counts.size, dtype=np.int64)
+    def __init__(self, n_points: int, n_cells: int, block_dir: Path,
+                 out_of_core: bool):
         self._staging_dir = None
-        self._pts: list[np.ndarray] = []
-        self._ids: list[np.ndarray] = []
         if out_of_core:
             self._staging_dir = block_dir / "staging"
             self._staging_dir.mkdir(exist_ok=True)
-        for b, count in enumerate(block_counts):
-            shape = (int(count), 3)
-            if out_of_core:
-                self._pts.append(np.lib.format.open_memmap(
-                    self._staging_dir / f"pts_{b:05d}.npy",
-                    mode="w+", dtype=np.float64, shape=shape,
-                ))
-                self._ids.append(np.lib.format.open_memmap(
-                    self._staging_dir / f"ids_{b:05d}.npy",
-                    mode="w+", dtype=np.int64, shape=(int(count),),
-                ))
-            else:
-                self._pts.append(np.empty(shape, dtype=np.float64))
-                self._ids.append(np.empty(int(count), dtype=np.int64))
+        self.labels = self._buffer(
+            "labels", (n_points,), np.min_scalar_type(n_cells)
+        )
+        self._pts: list[np.ndarray] = []
+        self._ids: list[np.ndarray] = []
 
-    def append(self, block: int, pts: np.ndarray, ids: np.ndarray) -> None:
-        start = self._fill[block]
-        stop = start + pts.shape[0]
-        self._pts[block][start:stop] = pts
-        self._ids[block][start:stop] = ids
-        self._fill[block] = stop
-        np.minimum(self.aabb_lo[block], pts.min(axis=0),
-                   out=self.aabb_lo[block])
-        np.maximum(self.aabb_hi[block], pts.max(axis=0),
-                   out=self.aabb_hi[block])
+    def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        if self._staging_dir is None:
+            return np.empty(shape, dtype=dtype)
+        return np.lib.format.open_memmap(
+            self._staging_dir / f"{name}.npy",
+            mode="w+", dtype=dtype, shape=shape,
+        )
+
+    def allocate(self, block_counts: np.ndarray) -> None:
+        for b, count in enumerate(block_counts):
+            self._pts.append(
+                self._buffer(f"pts_{b:05d}", (int(count), 3), np.float64)
+            )
+            self._ids.append(
+                self._buffer(f"ids_{b:05d}", (int(count),), np.int64)
+            )
+
+    def scatter(
+        self, chunk: np.ndarray, start: int, cell_to_block: np.ndarray,
+        offsets: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Copy one chunk's rows to ``offsets[b]`` of each block ``b``.
+
+        Returns the chunk's per-block AABBs (``inf`` / ``-inf`` rows
+        for blocks the chunk does not touch).
+        """
+        labels = cell_to_block[self.labels[start:start + chunk.shape[0]]]
+        order = np.argsort(labels, kind="stable")
+        counts = np.bincount(labels, minlength=offsets.size)
+        run_stops = np.cumsum(counts)
+        lo = np.full((offsets.size, 3), np.inf)
+        hi = np.full((offsets.size, 3), -np.inf)
+        for block in np.flatnonzero(counts):
+            rows = order[run_stops[block] - counts[block]:run_stops[block]]
+            pts = chunk[rows]
+            at = slice(offsets[block], offsets[block] + rows.size)
+            self._pts[block][at] = pts
+            self._ids[block][at] = start + rows
+            lo[block], hi[block] = _bounds(pts)
+        return lo, hi
 
     def points(self, block: int) -> np.ndarray:
         return self._pts[block]
@@ -477,33 +523,13 @@ class _Stager:
         return self._ids[block]
 
     def cleanup(self) -> None:
+        self.labels = None
         self._pts = []
         self._ids = []
         if self._staging_dir is not None:
             for path in self._staging_dir.glob("*.npy"):
                 path.unlink()
             self._staging_dir.rmdir()
-
-
-def _stage_blocks(
-    source, assign, cell_to_block, block_counts, block_dir, config
-) -> _Stager:
-    out_of_core = source.shape[0] > config.chunk_points
-    stager = _Stager(block_counts, block_dir, out_of_core)
-    for start, chunk in _chunks(source, config.chunk_points):
-        labels = cell_to_block[assign(chunk)]
-        order = np.argsort(labels, kind="stable")
-        sorted_labels = labels[order]
-        present, run_starts = np.unique(sorted_labels, return_index=True)
-        run_stops = np.append(run_starts[1:], sorted_labels.size)
-        for block, a, z in zip(present, run_starts, run_stops):
-            rows = order[a:z]
-            stager.append(
-                int(block),
-                chunk[rows],
-                (start + rows).astype(np.int64),
-            )
-    return stager
 
 
 def _tree_resident_nbytes(arrays: dict[str, np.ndarray], n_points: int) -> int:
@@ -532,123 +558,34 @@ def _build_one_block(
     }
 
 
-# ----------------------------------------------------------------------
-# Parallel per-block build over shared-memory point handoff
-# ----------------------------------------------------------------------
-def _block_build_worker(task_queue, result_queue) -> None:
-    """Worker loop: attach the block's segment, build, snapshot, reply."""
-    from repro.serve.shm import attach_segment, close_attachment
-
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        block, segment, out_path, tree_config, seed = task
-        try:
-            payload, shm = attach_segment(segment)
-            try:
-                stats = _build_one_block(
-                    payload["points"], payload["global_ids"],
-                    Path(out_path), tree_config, seed,
-                )
-            finally:
-                del payload
-                close_attachment(shm)
-            result_queue.put((block, stats, None))
-        except BaseException as exc:  # noqa: BLE001 - relayed to coordinator
-            result_queue.put((block, None, repr(exc)))
-
-
-def _build_blocks_parallel(
-    staged: _Stager, files, block_dir: Path, config, seed0: int
+def _build_blocks(
+    pool: ThreadPoolExecutor, staged: _Stager, files, block_dir: Path,
+    tree_config: KdTreeConfig, seed0: int,
 ) -> list[dict]:
-    """Fan per-block builds over worker processes.
+    """Build and snapshot every block on the pool's threads.
 
-    The coordinator keeps at most ``workers + 1`` blocks' points alive
-    in shared-memory segments at a time (the PR 6 handoff machinery),
-    so peak memory stays a bounded window rather than the whole cloud.
+    NumPy releases the GIL in the builder's sorts and partitions, and
+    each thread reads its block's staging buffer in place, so at most
+    ``workers`` blocks are in flight and no block is copied to hand it
+    over.  Every block is attempted; failures are reported together.
     """
-    import multiprocessing
-    import queue as queue_mod
-
-    from repro.serve.shm import create_segment, unlink_segment
-
-    ctx = multiprocessing.get_context("spawn")
-    n_blocks = len(files)
-    workers = min(config.workers, n_blocks)
-    task_queue = ctx.Queue()
-    result_queue = ctx.Queue()
-    procs = [
-        ctx.Process(
-            target=_block_build_worker,
-            args=(task_queue, result_queue),
-            daemon=True,
+    futures = [
+        pool.submit(
+            lambda b: _build_one_block(
+                staged.points(b), staged.ids(b), block_dir / files[b],
+                tree_config, seed0 + b,
+            ),
+            b,
         )
-        for _ in range(workers)
+        for b in range(len(files))
     ]
-    for proc in procs:
-        proc.start()
-
-    prefix = f"qknn-blk-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-    segments: dict[int, object] = {}
-    stats: dict[int, dict] = {}
-    failures: list[str] = []
-    next_block = 0
-
-    def submit(block: int) -> None:
-        name = f"{prefix}-{block}"
-        segments[block] = create_segment(name, {
-            "points": np.ascontiguousarray(
-                staged.points(block), dtype=np.float64
-            ),
-            "global_ids": np.ascontiguousarray(
-                staged.ids(block), dtype=np.int64
-            ),
-        })
-        task_queue.put((
-            block, name, str(block_dir / files[block]),
-            config.tree, seed0 + block,
-        ))
-
-    try:
-        while next_block < n_blocks and len(segments) <= workers:
-            submit(next_block)
-            next_block += 1
-        while len(stats) + len(failures) < n_blocks:
-            try:
-                block, block_stats, error = result_queue.get(timeout=5.0)
-            except queue_mod.Empty:
-                # A worker killed mid-build (OOM, signal) never replies;
-                # surface that instead of waiting forever.
-                if not any(proc.is_alive() for proc in procs):
-                    raise RuntimeError(
-                        "all blocked-build workers died without reporting "
-                        f"results ({len(stats)}/{n_blocks} blocks built)"
-                    ) from None
-                continue
-            unlink_segment(segments.pop(block))
-            if error is not None:
-                failures.append(f"block {block}: {error}")
-            else:
-                stats[block] = block_stats
-            if next_block < n_blocks and not failures:
-                submit(next_block)
-                next_block += 1
-    finally:
-        for _ in procs:
-            task_queue.put(None)
-        for proc in procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-        for shm in segments.values():
-            unlink_segment(shm)
-    if failures:
+    errors = {b: f.exception() for b, f in enumerate(futures) if f.exception()}
+    if errors:
         raise RuntimeError(
-            "blocked build failed on worker processes: "
-            + "; ".join(failures)
-        )
-    return [stats[b] for b in range(n_blocks)]
+            "blocked build failed: "
+            + "; ".join(f"block {b}: {exc!r}" for b, exc in errors.items())
+        ) from next(iter(errors.values()))
+    return [f.result() for f in futures]
 
 
 # ----------------------------------------------------------------------

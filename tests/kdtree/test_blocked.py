@@ -3,11 +3,12 @@
 The exactness bar (bit-identity against a monolithic build) lives in
 ``tests/index/test_blocked_identity.py``; this module covers the
 machinery around it: partitioners, the chunked out-of-core staging
-path, worker-process fan-out determinism, the persisted manifest, the
-bounded resident-block cache, and the serving adapter.
+path, threaded build determinism and failure cleanup, the persisted
+manifest, the bounded resident-block cache, and the serving adapter.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -111,24 +112,82 @@ class TestBuild:
         )
 
     def test_parallel_build_bit_identical_to_inline(self, cloud, tmp_path):
-        """workers=2 must write byte-identical block files to workers=1."""
+        """Any worker count writes byte-identical block files to workers=1,
+        from in-memory and from out-of-core (memmap) staging alike."""
         xyz, queries = cloud
+        src = tmp_path / "cloud.npy"
+        np.save(src, xyz)
         inline = build_blocked(
             xyz, BlockedBuildConfig(n_blocks=4, workers=1),
             block_dir=tmp_path / "inline",
         )
-        fanned = build_blocked(
-            xyz, BlockedBuildConfig(n_blocks=4, workers=2),
-            block_dir=tmp_path / "fanned",
-        )
-        for name in inline.manifest["files"]:
-            a = (tmp_path / "inline" / name).read_bytes()
-            b = (tmp_path / "fanned" / name).read_bytes()
-            assert a == b, name
         want = inline.query(queries, 5)
-        got = fanned.query(queries, 5)
-        np.testing.assert_array_equal(want.indices, got.indices)
-        np.testing.assert_array_equal(want.distances, got.distances)
+        # A tiny switch interval makes the threads interleave often, so
+        # a chunk writing outside its own slices would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for chunk_points in (1_000_000, 1_000):
+                for workers in (2, 3, inline.n_blocks + 2):
+                    out = tmp_path / f"fanned-{chunk_points}-{workers}"
+                    fanned = build_blocked(
+                        str(src),
+                        BlockedBuildConfig(
+                            n_blocks=4, workers=workers,
+                            chunk_points=chunk_points,
+                        ),
+                        block_dir=out,
+                    )
+                    files = inline.manifest["files"]
+                    assert fanned.manifest["files"] == files
+                    for name in files:
+                        a = (tmp_path / "inline" / name).read_bytes()
+                        b = (out / name).read_bytes()
+                        assert a == b, (name, chunk_points, workers)
+                    assert not (out / "staging").exists()
+                    got = fanned.query(queries, 5)
+                    np.testing.assert_array_equal(want.indices, got.indices)
+                    np.testing.assert_array_equal(
+                        want.distances, got.distances
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failed_block_build_cleans_staging(
+        self, cloud, tmp_path, monkeypatch
+    ):
+        """A block that fails to build is named, and staging is removed
+        (also when a chunk fails while staging)."""
+        import repro.kdtree.blocked as blocked_mod
+
+        xyz, _ = cloud
+        src = tmp_path / "cloud.npy"
+        np.save(src, xyz)
+        config = BlockedBuildConfig(n_blocks=4, workers=2, chunk_points=1_000)
+        real = blocked_mod._build_one_block
+
+        def flaky(pts, ids, out_path, tree_config, seed):
+            if out_path.name == "block_00002.npz":
+                raise MemoryError("simulated")
+            return real(pts, ids, out_path, tree_config, seed)
+
+        monkeypatch.setattr(blocked_mod, "_build_one_block", flaky)
+        with pytest.raises(RuntimeError, match=r"block 2\b.*simulated"):
+            build_blocked(str(src), config, block_dir=tmp_path / "blocks")
+        assert (tmp_path / "blocks").exists()
+        assert not (tmp_path / "blocks" / "staging").exists()
+
+        real_scatter = blocked_mod._Stager.scatter
+
+        def flaky_scatter(self, chunk, start, *args):
+            if start == 3_000:
+                raise MemoryError("simulated scatter")
+            return real_scatter(self, chunk, start, *args)
+
+        monkeypatch.setattr(blocked_mod._Stager, "scatter", flaky_scatter)
+        with pytest.raises(MemoryError, match="simulated scatter"):
+            build_blocked(str(src), config, block_dir=tmp_path / "staged")
+        assert not (tmp_path / "staged" / "staging").exists()
 
     def test_manifest_contents(self, cloud, tmp_path):
         xyz, _ = cloud
